@@ -90,7 +90,7 @@ class BranchPoint:
     v: np.ndarray
     residual_norm: float
     newton_iters: int
-    grid: RadialGrid = field(repr=False, default=None)
+    grid: RadialGrid = field(repr=False)
 
 
 @dataclass
@@ -100,7 +100,7 @@ class Branch:
     points: list[BranchPoint]
     lambda_star_estimate: float
     fold_detected: bool
-    grid: RadialGrid = field(repr=False, default=None)
+    grid: RadialGrid = field(repr=False)
     family_spec: str = ""
 
     @property
@@ -282,7 +282,7 @@ def solve_at_amplitude(
         raise ValueError(f"amplitude {m:g} violates the touchdown guard {guard:g}")
     K = minus_laplacian(grid)
     if guess is not None:
-        if guess.grid is not None and guess.grid.key() != grid.key():
+        if guess.grid.key() != grid.key():
             raise ValueError("warm-start point lives on a different grid")
         u, v, lam = guess.u.copy(), guess.v.copy(), guess.lam
     else:

@@ -5,21 +5,30 @@ crashed run never leaves a half-written artifact, and deterministically:
 floats are printed with 17 significant digits, JSON keys are sorted, and no
 timestamps or environment data enter the files.  A flat ``key = value``
 config file (with ``#`` comments) can hold any option; command-line flags
-override it, and unknown keys are errors.
+override it, and unknown keys are errors.  The fields of ``RunConfig`` are
+the config schema.
 
-Exit codes: 0 success, 2 usage/config error, 3 inconclusive classification,
-4 compute failure (partial artifacts are kept and flagged).
+branch, verify and every sweep cell run through one cell runner, and one
+failure table (``_status`` and ``_EXIT``) gives every outcome its status and
+exit code: 0 success, 2 usage/config error or estimates not applicable,
+3 inconclusive classification, 4 compute failure (a partial branch is kept
+and flagged).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
+from typing import get_type_hints
+
+import numpy as np
 
 from . import bootstrap as bs
 from .branch import Branch, ContinuationError, SolverConfig, continue_branch
@@ -30,7 +39,7 @@ from .estimates import (
     run_pointwise_suite,
 )
 from .families import FamilyDomainError, parse_family
-from .radial import RadialGrid
+from .radial import RadialGrid, field_rows
 from .stability import EigenIterationError, smallest_stability_eigenvalue
 
 __all__ = ["main"]
@@ -39,6 +48,42 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_COMPUTE = 4
+
+
+# ---------------------------------------------------------------------------
+# the failure table
+# ---------------------------------------------------------------------------
+
+_COMPUTE_ERRORS = (ContinuationError, EigenIterationError, np.linalg.LinAlgError)
+_FAILURE_TYPES = (*_COMPUTE_ERRORS, ValueError, OSError)
+
+_EXIT = {
+    "ok": EXIT_OK,
+    "not-applicable": EXIT_USAGE,
+    "error": EXIT_USAGE,
+    "partial": EXIT_COMPUTE,
+    "compute-failure": EXIT_COMPUTE,
+}
+
+
+def _status(exc: BaseException) -> str:
+    """The status of a run or sweep cell that raised one of _FAILURE_TYPES."""
+    if isinstance(exc, ContinuationError) and exc.partial is not None and exc.partial.points:
+        return "partial"  # the solved points are kept
+    if isinstance(exc, _COMPUTE_ERRORS):
+        return "compute-failure"
+    if isinstance(exc, FamilyDomainError):
+        # past validation it comes from the estimates' hypotheses: mems p <= 1,
+        # or u outside the auxiliary functions' domain (u >= 0, u < 1 for mems)
+        return "not-applicable"
+    return "error"  # bad input or an unusable output path
+
+
+def _fail(status: str, message: str) -> int:
+    """Report one failure on stderr and return its exit code."""
+    code = _EXIT[status]
+    print(f"{'compute failure' if code == EXIT_COMPUTE else 'error'}: {message}", file=sys.stderr)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +98,19 @@ def _fmt(x: float) -> str:
 
 def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _csv_text(header: str, rows) -> str:
+    """Floats with 17 significant digits, booleans in lower case."""
+    def text(x) -> str:
+        if isinstance(x, (bool, np.bool_)):
+            return str(bool(x)).lower()
+        if isinstance(x, (str, int, np.integer)):
+            return str(x)
+        return _fmt(x)
+
+    lines = [header] + [",".join(map(text, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -73,22 +131,37 @@ def _write_atomic(path: str, text: str) -> None:
 # configuration
 # ---------------------------------------------------------------------------
 
-_CONFIG_TYPES = {
-    "family": str,
-    "families": str,
-    "N": int,
-    "dims": str,
-    "n": int,
-    "m_max": float,
-    "tol": float,
-    "amplitude_step": float,
-    "out": str,
-    "jobs": int,
-    "dump_fields": bool,
-}
+
+@dataclass
+class RunConfig:
+    """One run's settings.  Each field is a config key and a key of the
+    summaries' ``config`` dict, under its ``key`` metadata if it has one."""
+
+    family: str = "exp"
+    dim_N: int = field(default=3, metadata={"key": "N"})
+    n: int = 2048
+    m_max: float = 6.0
+    tol: float = 1e-10
+    amplitude_step: float = 0.05
+    out: str = "out"
+    jobs: int = 1
+    dump_fields: bool = False
+
+    def as_dict(self) -> dict:
+        return {_key(f): getattr(self, f.name) for f in fields(self)}
+
+
+def _key(f) -> str:
+    return f.metadata.get("key", f.name)
+
+
+# sweep-only keys, comma-separated lists kept as text until the grid is built
+_SWEEP_KEYS = ("families", "dims")
 
 
 def _parse_config_file(path: str) -> dict:
+    hints = get_type_hints(RunConfig)
+    types = {_key(f): hints[f.name] for f in fields(RunConfig)} | dict.fromkeys(_SWEEP_KEYS, str)
     values: dict = {}
     with open(path) as handle:
         for lineno, raw in enumerate(handle, 1):
@@ -100,9 +173,9 @@ def _parse_config_file(path: str) -> dict:
             key, _, val = line.partition("=")
             key = key.strip()
             val = val.strip()
-            if key not in _CONFIG_TYPES:
+            if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            typ = _CONFIG_TYPES[key]
+            typ = types[key]
             if typ is bool:
                 if val.lower() not in ("true", "false", "0", "1"):
                     raise ValueError(f"{path}:{lineno}: bad boolean {val!r}")
@@ -112,55 +185,44 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-@dataclass
-class RunConfig:
-    family: str = "exp"
-    dim_N: int = 3
-    n: int = 2048
-    m_max: float = 6.0
-    tol: float = 1e-10
-    amplitude_step: float = 0.05
-    out: str = "out"
-    jobs: int = 1
-    dump_fields: bool = False
+def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
+    """File values first, explicit flags second.
 
-    def as_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "N": self.dim_N,
-            "n": self.n,
-            "m_max": self.m_max,
-            "tol": self.tol,
-            "amplitude_step": self.amplitude_step,
-            "out": self.out,
-            "jobs": self.jobs,
-            "dump_fields": self.dump_fields,
-        }
-
-
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """File values first, explicit flags second."""
-    cfg = RunConfig()
-    fileval = _parse_config_file(args.config) if getattr(args, "config", None) else {}
-    mapping = [
-        ("family", "family"),
-        ("N", "dim_N"),
-        ("n", "n"),
-        ("m_max", "m_max"),
-        ("tol", "tol"),
-        ("amplitude_step", "amplitude_step"),
-        ("out", "out"),
-        ("jobs", "jobs"),
-        ("dump_fields", "dump_fields"),
-    ]
-    for key, attr in mapping:
-        if key in fileval:
-            setattr(cfg, attr, fileval[key])
-    for key, attr in mapping:
-        flag = getattr(args, attr, None)
+    Returns the run config and the sweep-only keys that are set.
+    """
+    values = _parse_config_file(args.config) if args.config else {}
+    attrs = {_key(f): f.name for f in fields(RunConfig)}
+    for key in (*attrs, *_SWEEP_KEYS):
+        flag = getattr(args, attrs.get(key, key), None)
         if flag is not None:
-            setattr(cfg, attr, flag)
-    return cfg
+            values[key] = flag
+    lists = {key: values.pop(key) for key in _SWEEP_KEYS if key in values}
+    return RunConfig(**{attrs[key]: val for key, val in values.items()}), lists
+
+
+def _parse_dims(spec: str) -> list[int]:
+    dims: list[int] = []
+    for part in spec.split(","):
+        part = part.strip()
+        if ".." in part:
+            lo, _, hi = part.partition("..")
+            dims.extend(range(int(lo), int(hi) + 1))
+        elif part:
+            dims.append(int(part))
+    if not dims:
+        raise ValueError(f"empty dimension list {spec!r}")
+    return sorted(set(dims))
+
+
+def _validate_run_config(cfg: RunConfig) -> None:
+    """Fail fast on bad values before any compute starts."""
+    parse_family(cfg.family)
+    RadialGrid(cfg.dim_N, cfg.n)
+    SolverConfig(newton_tol=cfg.tol, amplitude_step=cfg.amplitude_step)
+    if not 0.0 < cfg.m_max < math.inf:
+        raise ValueError("m_max must be positive and finite")
+    if cfg.jobs < 1:
+        raise ValueError("jobs must be >= 1")
 
 
 def _family_tag(spec: str) -> str:
@@ -168,44 +230,24 @@ def _family_tag(spec: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# branch / verify machinery shared by subcommands
+# the cell runner shared by branch, verify and sweep
 # ---------------------------------------------------------------------------
 
-
-def _solve_branch(cfg: RunConfig):
-    family = parse_family(cfg.family)
-    grid = RadialGrid(cfg.dim_N, cfg.n)
-    solver = SolverConfig(newton_tol=cfg.tol, amplitude_step=cfg.amplitude_step)
-    m_max = cfg.m_max
-    if family.singular:
-        # amplitudes the grid can still resolve; the fold sits far below
-        m_max = min(m_max, 1.0 - 1e-4)
-    branch = continue_branch(family, grid, m_max, solver)
-    return family, grid, branch
+_BRANCH_HEADER = "m,lambda,u_center,max_u,mu1,residual_norm,newton_iters"
+_ESTIMATE_HEADER = "estimate,m,lambda,lhs,rhs,margin,satisfied"
+_SWEEP_COLUMNS = ("family", "N", "status", "lambda_star", "fold_detected", "verdict", "rule",
+                  "estimates_ok")
 
 
-def _branch_csv(family, branch: Branch) -> str:
-    rows = ["m,lambda,u_center,max_u,mu1,residual_norm,newton_iters"]
-    for pt in branch.points:
-        mu1 = smallest_stability_eigenvalue(family, pt).mu1
-        rows.append(
-            ",".join(
-                [
-                    _fmt(pt.m),
-                    _fmt(pt.lam),
-                    _fmt(pt.u[0]),
-                    _fmt(max(pt.u)),
-                    _fmt(mu1),
-                    _fmt(pt.residual_norm),
-                    str(pt.newton_iters),
-                ]
-            )
-        )
-    return "\n".join(rows) + "\n"
-
-
-def _branch_summary(cfg: RunConfig, branch: Branch, status: str = "ok") -> dict:
-    return {
+def _write_branch_artifacts(cfg: RunConfig, family, branch: Branch, status: str) -> dict:
+    tag = f"{_family_tag(cfg.family)}_N{cfg.dim_N}"
+    rows = (
+        (pt.m, pt.lam, pt.u[0], max(pt.u), smallest_stability_eigenvalue(family, pt).mu1,
+         pt.residual_norm, pt.newton_iters)
+        for pt in branch.points
+    )
+    _write_atomic(os.path.join(cfg.out, f"branch_{tag}.csv"), _csv_text(_BRANCH_HEADER, rows))
+    summary = {
         "family": branch.family_spec or cfg.family,
         "N": cfg.dim_N,
         "n": cfg.n,
@@ -215,26 +257,12 @@ def _branch_summary(cfg: RunConfig, branch: Branch, status: str = "ok") -> dict:
         "status": status,
         "config": cfg.as_dict(),
     }
-
-
-def _field_csv(pt) -> str:
-    rows = ["r,value"]
-    for r, val in zip(pt.grid.r, pt.u):
-        rows.append(f"{_fmt(r)},{_fmt(val)}")
-    return "\n".join(rows) + "\n"
-
-
-def _write_branch_artifacts(cfg: RunConfig, family, branch: Branch, status: str) -> dict:
-    tag = f"{_family_tag(cfg.family)}_N{cfg.dim_N}"
-    csv_path = os.path.join(cfg.out, f"branch_{tag}.csv")
-    json_path = os.path.join(cfg.out, f"branch_{tag}.json")
-    _write_atomic(csv_path, _branch_csv(family, branch))
-    summary = _branch_summary(cfg, branch, status)
-    _write_atomic(json_path, _json_text(summary))
+    _write_atomic(os.path.join(cfg.out, f"branch_{tag}.json"), _json_text(summary))
     if cfg.dump_fields:
         for i, pt in enumerate(branch.points):
             _write_atomic(
-                os.path.join(cfg.out, f"field_{tag}_{i:04d}.csv"), _field_csv(pt)
+                os.path.join(cfg.out, f"field_{tag}_{i:04d}.csv"),
+                _csv_text("r,value", field_rows(pt.u, pt.grid)),
             )
         _write_atomic(
             os.path.join(cfg.out, f"grid_{tag}.json"),
@@ -243,26 +271,11 @@ def _write_branch_artifacts(cfg: RunConfig, family, branch: Branch, status: str)
     return summary
 
 
-def _estimate_rows(family, branch: Branch) -> tuple[str, bool]:
-    rows = ["estimate,m,lambda,lhs,rhs,margin,satisfied"]
-    all_ok = True
-    for pt in branch.pre_fold_points:
-        for rep in run_pointwise_suite(family, pt):
-            rows.append(
-                ",".join(
-                    [
-                        rep.name,
-                        _fmt(rep.m),
-                        _fmt(rep.lam),
-                        _fmt(rep.lhs),
-                        _fmt(rep.rhs),
-                        _fmt(rep.margin),
-                        str(rep.satisfied).lower(),
-                    ]
-                )
-            )
-            all_ok = all_ok and rep.satisfied
-    return "\n".join(rows) + "\n", all_ok
+def _estimate_csv(family, branch: Branch) -> tuple[str, bool]:
+    reports = [rep for pt in branch.pre_fold_points for rep in run_pointwise_suite(family, pt)]
+    rows = ((rep.name, rep.m, rep.lam, rep.lhs, rep.rhs, rep.margin, rep.satisfied)
+            for rep in reports)
+    return _csv_text(_ESTIMATE_HEADER, rows), all(rep.satisfied for rep in reports)
 
 
 def _suprema_summary(family, branch: Branch) -> dict:
@@ -284,18 +297,71 @@ def _suprema_summary(family, branch: Branch) -> dict:
     return out
 
 
+def _write_verify_artifacts(cfg: RunConfig, family, branch: Branch, status: str) -> dict:
+    tag = f"{_family_tag(cfg.family)}_N{cfg.dim_N}"
+    csv_text, all_ok = _estimate_csv(family, branch)
+    _write_atomic(os.path.join(cfg.out, f"estimates_{tag}.csv"), csv_text)
+    verdict = {
+        "family": cfg.family,
+        "N": cfg.dim_N,
+        "n": cfg.n,
+        "lambda_star_estimate": branch.lambda_star_estimate,
+        "fold_detected": branch.fold_detected,
+        "pre_fold_points": len(branch.pre_fold_points),
+        "pointwise_all_satisfied": all_ok,
+        "suprema": _suprema_summary(family, branch),
+        "config": cfg.as_dict(),
+    }
+    if status != "ok":
+        verdict["status"] = status  # flags a partial branch; absent means ok
+    _write_atomic(os.path.join(cfg.out, f"verify_{tag}.json"), _json_text(verdict))
+    return verdict
+
+
+def _run_cell(cfg: RunConfig, command: str) -> dict:
+    """One (family, N) cell of branch, verify or sweep.
+
+    Solves the branch, keeping a partial one, writes the command's
+    artifacts and returns the cell's record.  A failure ends the cell with
+    the status the failure table gives it.
+    """
+    family = parse_family(cfg.family)
+    cell = {"family": cfg.family, "N": cfg.dim_N, "status": "ok", "error": "",
+            "lambda_star": math.nan, "fold_detected": False, "estimates_ok": False}
+    if command == "sweep":
+        verdict = bs.predict_regularity(family, cfg.dim_N)
+        cell.update(verdict=verdict.verdict, rule=verdict.rule)
+    solver = SolverConfig(newton_tol=cfg.tol, amplitude_step=cfg.amplitude_step)
+    # amplitudes the grid can still resolve; the fold sits far below
+    m_max = min(cfg.m_max, 1.0 - 1e-4) if family.singular else cfg.m_max
+    try:
+        try:
+            branch = continue_branch(family, RadialGrid(cfg.dim_N, cfg.n), m_max, solver)
+        except ContinuationError as exc:
+            if _status(exc) != "partial":
+                raise
+            branch = exc.partial
+            cell.update(status="partial", error=str(exc))
+        cell.update(lambda_star=branch.lambda_star_estimate, fold_detected=branch.fold_detected)
+        if command == "verify":
+            cell["summary"] = _write_verify_artifacts(cfg, family, branch, cell["status"])
+        else:
+            cell["summary"] = _write_branch_artifacts(cfg, family, branch, cell["status"])
+        if command == "sweep":
+            cell["estimates_ok"] = _estimate_csv(family, branch)[1]
+    except _FAILURE_TYPES as exc:
+        cell.update(status=_status(exc), error=str(exc))
+    return cell
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_predict(args) -> int:
-    try:
-        family = parse_family(args.family)
-        verdict = bs.predict_regularity(family, args.dim_N)
-    except (FamilyDomainError, bs.RecursionDomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    family = parse_family(args.family)
+    verdict = bs.predict_regularity(family, args.dim_N)
     text = _json_text(verdict.as_dict())
     sys.stdout.write(text)
     if args.out:
@@ -304,12 +370,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    try:
-        params = bs.ExponentParams(args.dim_N, args.q, args.alpha, args.beta)
-        trace = bs.run_bootstrap(params, max_steps=args.steps)
-    except bs.RecursionDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    params = bs.ExponentParams(args.dim_N, args.q, args.alpha, args.beta)
+    trace = bs.run_bootstrap(params, max_steps=args.steps)
     record = {
         "N": args.dim_N,
         "q0": args.q,
@@ -324,184 +386,40 @@ def cmd_bootstrap(args) -> int:
     return EXIT_INCONCLUSIVE if trace.classification == bs.INCONCLUSIVE else EXIT_OK
 
 
-def _validate_run_config(cfg: RunConfig) -> None:
-    """Fail fast on bad values before any compute starts."""
-    parse_family(cfg.family)
-    RadialGrid(cfg.dim_N, cfg.n)
-    SolverConfig(newton_tol=cfg.tol, amplitude_step=cfg.amplitude_step)
-    if cfg.m_max <= 0.0:
-        raise ValueError("m_max must be positive")
-    if cfg.jobs < 1:
-        raise ValueError("jobs must be >= 1")
-
-
-def cmd_branch(args) -> int:
-    try:
-        cfg = _resolve_config(args)
-        _validate_run_config(cfg)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        family, grid, branch = _solve_branch(cfg)
-        summary = _write_branch_artifacts(cfg, family, branch, status="ok")
-    except ContinuationError as exc:
-        family = parse_family(cfg.family)
-        if exc.partial is not None and exc.partial.points:
-            _write_branch_artifacts(cfg, family, exc.partial, status="partial")
-        print(f"compute failure: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-    except EigenIterationError as exc:
-        print(f"compute failure: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-    sys.stdout.write(_json_text(summary))
-    return EXIT_OK
-
-
-def cmd_verify(args) -> int:
-    try:
-        cfg = _resolve_config(args)
-        _validate_run_config(cfg)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        family, grid, branch = _solve_branch(cfg)
-    except (ContinuationError, EigenIterationError) as exc:
-        print(f"compute failure: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-    tag = f"{_family_tag(cfg.family)}_N{cfg.dim_N}"
-    csv_text, all_ok = _estimate_rows(family, branch)
-    _write_atomic(os.path.join(cfg.out, f"estimates_{tag}.csv"), csv_text)
-    verdict = {
-        "family": cfg.family,
-        "N": cfg.dim_N,
-        "n": cfg.n,
-        "lambda_star_estimate": branch.lambda_star_estimate,
-        "fold_detected": branch.fold_detected,
-        "pre_fold_points": len(branch.pre_fold_points),
-        "pointwise_all_satisfied": all_ok,
-        "suprema": _suprema_summary(family, branch),
-        "config": cfg.as_dict(),
-    }
-    _write_atomic(os.path.join(cfg.out, f"verify_{tag}.json"), _json_text(verdict))
-    sys.stdout.write(_json_text(verdict))
-    return EXIT_OK
-
-
-def _parse_dims(spec: str) -> list[int]:
-    dims: list[int] = []
-    for part in spec.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, _, hi = part.partition("..")
-            dims.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            dims.append(int(part))
-    if not dims:
-        raise ValueError(f"empty dimension list {spec!r}")
-    return sorted(set(dims))
-
-
-def _sweep_cell(payload: dict) -> dict:
-    """One (family, N) job; run in a worker process."""
-    cfg = RunConfig(**payload)
-    family = parse_family(cfg.family)
-    verdict = bs.predict_regularity(family, cfg.dim_N)
-    cell = {
-        "family": cfg.family,
-        "N": cfg.dim_N,
-        "verdict": verdict.verdict,
-        "rule": verdict.rule,
-    }
-    family = parse_family(cfg.family)
-    status = "ok"
-    try:
-        family, grid, branch = _solve_branch(cfg)
-    except ContinuationError as exc:
-        # a partial branch that already contains the fold still answers the
-        # sweep's questions; only a foldless failure voids the cell
-        if exc.partial is None or not exc.partial.fold_detected:
-            cell.update(status="compute-failure", lambda_star="nan",
-                        fold_detected=False, estimates_ok=False)
-            return cell
-        branch = exc.partial
-        status = "partial"
-    except EigenIterationError:
-        cell.update(status="compute-failure", lambda_star="nan", fold_detected=False,
-                    estimates_ok=False)
-        return cell
-    _write_branch_artifacts(cfg, family, branch, status=status)
-    _, all_ok = _estimate_rows(family, branch)
-    cell.update(
-        status=status,
-        lambda_star=branch.lambda_star_estimate,
-        fold_detected=branch.fold_detected,
-        estimates_ok=all_ok,
-    )
-    return cell
-
-
-def cmd_sweep(args) -> int:
-    try:
-        cfg = _resolve_config(args)
-        file_cfg = _parse_config_file(args.config) if args.config else {}
-        families_spec = args.families or file_cfg.get("families")
-        dims_spec = args.dims or file_cfg.get("dims")
-        if not families_spec or not dims_spec:
+def cmd_run(args) -> int:
+    """branch, verify and sweep: validate every cell, then run them."""
+    cfg, lists = _resolve_config(args)
+    cells = [cfg]
+    if args.command == "sweep":
+        fams = [f.strip() for f in lists.get("families", "").split(",") if f.strip()]
+        if not fams or "dims" not in lists:
             raise ValueError("sweep needs --families and --dims")
-        fams = [f.strip() for f in families_spec.split(",") if f.strip()]
-        for f in fams:
-            parse_family(f)
-        dims = _parse_dims(dims_spec)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    payloads = [
-        {
-            "family": fam,
-            "dim_N": N,
-            "n": cfg.n,
-            "m_max": cfg.m_max,
-            "tol": cfg.tol,
-            "amplitude_step": cfg.amplitude_step,
-            "out": cfg.out,
-            "jobs": 1,
-            "dump_fields": False,
-        }
-        for fam in fams
-        for N in dims
-    ]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            cells = list(pool.map(_sweep_cell, payloads))
+        dims = _parse_dims(lists["dims"])
+        cells = [replace(cfg, family=f, dim_N=N) for f in fams for N in dims]
+    for cell in cells:
+        _validate_run_config(cell)
+    os.makedirs(cfg.out, exist_ok=True)  # an unusable --out fails before any compute
+    if args.command != "sweep":
+        record = _run_cell(cfg, args.command)
+        if record["status"] != "ok":
+            return _fail(record["status"], record["error"])
+        sys.stdout.write(_json_text(record["summary"]))
+        return EXIT_OK
+    # each cell runs alone in its worker and dumps no fields
+    cells = [replace(cell, jobs=1, dump_fields=False) for cell in cells]
+    run = partial(_run_cell, command="sweep")
+    if cfg.jobs > 1 and len(cells) > 1:
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(cells))) as pool:
+            records = list(pool.map(run, cells))
     else:
-        cells = [_sweep_cell(p) for p in payloads]
-    cells.sort(key=lambda c: (c["family"], c["N"]))
-    rows = ["family,N,status,lambda_star,fold_detected,verdict,rule,estimates_ok"]
-    failures = 0
-    for c in cells:
-        if c["status"] != "ok":
-            failures += 1
-        lam = c["lambda_star"]
-        rows.append(
-            ",".join(
-                [
-                    c["family"],
-                    str(c["N"]),
-                    c["status"],
-                    lam if isinstance(lam, str) else _fmt(lam),
-                    str(c["fold_detected"]).lower(),
-                    c["verdict"],
-                    c["rule"],
-                    str(c["estimates_ok"]).lower(),
-                ]
-            )
-        )
-    text = "\n".join(rows) + "\n"
+        records = [run(cell) for cell in cells]
+    records.sort(key=lambda c: (c["family"], c["N"]))
+    text = _csv_text(",".join(_SWEEP_COLUMNS), ([c[k] for k in _SWEEP_COLUMNS] for c in records))
     _write_atomic(os.path.join(cfg.out, "sweep.csv"), text)
     sys.stdout.write(text)
-    return EXIT_COMPUTE if failures else EXIT_OK
+    codes = [_fail(c["status"], f"{c['family']} N={c['N']} {c['status']}: {c['error']}")
+             for c in records if c["status"] != "ok"]
+    return max(codes, default=EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +440,7 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", dest="out", default=None, help="output directory")
     sub.add_argument("--jobs", dest="jobs", type=int, default=None, help="worker processes")
     sub.add_argument("--config", default=None, help="flat key = value config file")
+    sub.set_defaults(func=cmd_run)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -551,17 +470,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p)
     p.add_argument("--dump-fields", dest="dump_fields", action="store_const", const=True,
                    default=None, help="write one CSV per solved profile")
-    p.set_defaults(func=cmd_branch)
 
     p = subs.add_parser("verify", help="certify the estimates along a branch")
     _add_run_flags(p)
-    p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("sweep", help="branch + verify over families x dimensions")
     _add_run_flags(p)
     p.add_argument("--families", default=None, help="comma-separated family specs")
     p.add_argument("--dims", default=None, help="e.g. 3..8 or 3,5,8")
-    p.set_defaults(func=cmd_sweep)
     return parser
 
 
@@ -571,7 +487,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _FAILURE_TYPES as exc:
+        return _fail(_status(exc), str(exc))
 
 
 if __name__ == "__main__":

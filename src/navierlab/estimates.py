@@ -101,7 +101,7 @@ def _tol(lhs: float, rhs: float) -> float:
 
 
 def _meta(point: BranchPoint) -> tuple[float, float, str]:
-    return point.m, point.lam, point.grid.key() if point.grid is not None else ""
+    return point.m, point.lam, point.grid.key()
 
 
 def _low_confidence(family: NonlinearityFamily, point: BranchPoint, guard: float) -> bool:

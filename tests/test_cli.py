@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, exit codes, file formats,
 configuration precedence, determinism."""
 
+import csv
 import json
+import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from navierlab.cli import main
 
@@ -174,6 +179,19 @@ def test_branch_mems_touchdown_clamp(tmp_path, capsys):
     assert json.loads(stdout)["fold_detected"] is True
 
 
+@pytest.mark.parametrize("command, artifact", [("branch", "branch_exp_N3.json"),
+                                               ("verify", "verify_exp_N3.json")])
+def test_partial_branch_is_kept_and_flagged(command, artifact, tmp_path, capsys):
+    # far past the fold Newton stalls near m = 157; the points before are kept
+    out = str(tmp_path / "partial")
+    code, _ = run(capsys, command, "--family", "exp", "--N", "3", "--n", "64",
+                  "--m-max", "200", "--amplitude-step", "1", "--out", out)
+    assert code == 4
+    summary = json.loads(open(os.path.join(out, artifact)).read())
+    assert summary["status"] == "partial"
+    assert summary["fold_detected"] is True
+
+
 # ---------------------------------------------------------------------------
 # config file
 # ---------------------------------------------------------------------------
@@ -254,3 +272,109 @@ def test_sweep_requires_lists(capsys):
     assert main(["sweep", "--families", "exp"]) == 2
     assert main(["sweep", "--dims", "3..4"]) == 2
     assert main(["sweep", "--families", "bogus", "--dims", "3"]) == 2
+
+
+def test_sweep_lists_from_config_file(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("families = exp, power:p=2\ndims = 3..4\nn = 64\nm_max = 0.3\n"
+                   "amplitude_step = 0.1\n")
+    out = str(tmp_path / "cfgsweep")
+    code, stdout = run(capsys, "sweep", "--config", str(cfg), "--out", out)
+    assert code == 0
+    cells = [line.split(",")[:3] for line in stdout.splitlines()[1:]]
+    assert cells == [["exp", "3", "ok"], ["exp", "4", "ok"],
+                     ["power:p=2", "3", "ok"], ["power:p=2", "4", "ok"]]
+    assert json.loads(open(os.path.join(out, "branch_exp_N4.json")).read())["config"]["n"] == 64
+
+
+# ---------------------------------------------------------------------------
+# failure contract: every accepted input ends with a documented exit code
+# ---------------------------------------------------------------------------
+
+FAILING = {
+    "verify-mems-p1": ["verify", "--family", "mems:p=1"],
+    "sweep-mems-p1": ["sweep", "--families", "exp,mems:p=1", "--dims", "3"],
+    "sweep-n2": ["sweep", "--families", "exp", "--dims", "3", "--n", "2"],
+    "sweep-negative-tol": ["sweep", "--families", "exp", "--dims", "3", "--tol", "-1"],
+    "sweep-dim1": ["sweep", "--families", "exp", "--dims", "1"],
+    "sweep-negative-m-max": ["sweep", "--families", "exp", "--dims", "3", "--m-max", "-1"],
+    "sweep-jobs0": ["sweep", "--families", "exp", "--dims", "3", "--jobs", "0"],
+    "branch-out-under-file": ["branch", "--family", "exp", "--out", "{file}/run"],
+    "verify-out-under-file": ["verify", "--family", "exp", "--out", "{file}/run"],
+    "sweep-out-under-file": ["sweep", "--families", "exp", "--dims", "3", "--out", "{file}/run"],
+    "predict-out-under-file": ["predict", "--family", "exp", "--N", "3", "--out", "{file}/p.json"],
+    "bootstrap-out-under-file": ["bootstrap", "--N", "6", "--q", "1", "--alpha", "1.5",
+                                 "--beta", "0.5", "--out", "{file}/b.json"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING))
+def test_failure_exit_codes(case, tmp_path, capsys):
+    regular_file = tmp_path / "file"
+    regular_file.write_text("")
+    argv = [a.format(file=regular_file) for a in FAILING[case]]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "run")]
+    if argv[0] in ("branch", "verify", "sweep") and "--n" not in argv:
+        argv += ["--n", "64"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (2, 4)
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(("error:", "compute failure:")), err
+    assert "Traceback" not in err
+    if case == "sweep-mems-p1":
+        rows = list(csv.DictReader(open(tmp_path / "run" / "sweep.csv")))
+        assert [(r["family"], r["status"]) for r in rows] == [
+            ("exp", "ok"), ("mems:p=1", "not-applicable")]
+        assert math.isfinite(float(rows[1]["lambda_star"]))
+
+
+# family specs, valid and not, with exponents on both sides of p = 1
+FAMILY_SPECS = st.one_of(
+    st.sampled_from(["exp", "quintic", "power:p=x"]),
+    st.builds("{}:p={:g}".format, st.sampled_from(["power", "mems"]), st.floats(-0.5, 4.0)),
+)
+
+
+# one value at a time pushed outside its valid range
+SPOILS = [None] * 6 + [("n", "3"), ("dim", "1"), ("m_max", "0"), ("m_max", "nan"),
+          ("step", "-0.1"), ("tol", "0"), ("tol", "inf")]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    command=st.sampled_from(["branch", "verify", "sweep"]),
+    families=st.lists(FAMILY_SPECS, min_size=1, max_size=2),
+    dims=st.lists(st.integers(2, 9), min_size=1, max_size=2),
+    n=st.integers(4, 64),
+    m_max=st.floats(0.1, 3.0),
+    step=st.floats(0.05, 1.0),
+    tol=st.sampled_from([1e-10, 1e-6, 1e-30]),
+    spoil=st.sampled_from(SPOILS),
+)
+def test_any_input_ends_with_documented_exit(command, families, dims, n, m_max, step, tol,
+                                             spoil):
+    values = {"n": str(n), "dim": str(dims[0]), "m_max": repr(m_max), "step": repr(step),
+              "tol": repr(tol)}
+    if spoil is not None:
+        values[spoil[0]] = spoil[1]
+        dims = [values["dim"]]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        argv = [command, "--n", values["n"], "--m-max", values["m_max"],
+                "--amplitude-step", values["step"], "--tol", values["tol"], "--out", out]
+        if command == "sweep":
+            argv += ["--families", ",".join(families), "--dims", ",".join(map(str, dims))]
+        else:
+            argv += ["--family", families[0], "--N", values["dim"]]
+        assert main(argv) in (0, 2, 3, 4)
+        for root, _, names in os.walk(out):
+            for name in names:
+                with open(os.path.join(root, name)) as handle:
+                    if name.endswith(".json"):
+                        json.load(handle)
+                    else:
+                        assert name.endswith(".csv"), name
+                        rows = list(csv.reader(handle))
+                        assert len(rows) >= 1 and len({len(r) for r in rows}) == 1, name
