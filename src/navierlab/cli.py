@@ -239,7 +239,8 @@ _SWEEP_COLUMNS = ("family", "N", "status", "lambda_star", "fold_detected", "verd
                   "estimates_ok")
 
 
-def _write_branch_artifacts(cfg: RunConfig, family, branch: Branch, status: str) -> dict:
+def _write_branch_artifacts(cfg: RunConfig, family, branch: Branch, status: str,
+                            m_max: float) -> dict:
     tag = f"{_family_tag(cfg.family)}_N{cfg.dim_N}"
     rows = (
         (pt.m, pt.lam, pt.u[0], max(pt.u), smallest_stability_eigenvalue(family, pt).mu1,
@@ -255,6 +256,7 @@ def _write_branch_artifacts(cfg: RunConfig, family, branch: Branch, status: str)
         "fold_detected": branch.fold_detected,
         "points": len(branch.points),
         "status": status,
+        "m_max_effective": m_max,
         "config": cfg.as_dict(),
     }
     _write_atomic(os.path.join(cfg.out, f"branch_{tag}.json"), _json_text(summary))
@@ -272,10 +274,13 @@ def _write_branch_artifacts(cfg: RunConfig, family, branch: Branch, status: str)
 
 
 def _estimate_csv(family, branch: Branch) -> tuple[str, bool]:
+    """The estimates CSV and whether every estimate held; with no pre-fold
+    point none was evaluated, which is not a pass."""
     reports = [rep for pt in branch.pre_fold_points for rep in run_pointwise_suite(family, pt)]
     rows = ((rep.name, rep.m, rep.lam, rep.lhs, rep.rhs, rep.margin, rep.satisfied)
             for rep in reports)
-    return _csv_text(_ESTIMATE_HEADER, rows), all(rep.satisfied for rep in reports)
+    return _csv_text(_ESTIMATE_HEADER, rows), bool(reports) and all(
+        rep.satisfied for rep in reports)
 
 
 def _suprema_summary(family, branch: Branch) -> dict:
@@ -297,7 +302,8 @@ def _suprema_summary(family, branch: Branch) -> dict:
     return out
 
 
-def _write_verify_artifacts(cfg: RunConfig, family, branch: Branch, status: str) -> dict:
+def _write_verify_artifacts(cfg: RunConfig, family, branch: Branch, status: str,
+                            m_max: float) -> dict:
     tag = f"{_family_tag(cfg.family)}_N{cfg.dim_N}"
     csv_text, all_ok = _estimate_csv(family, branch)
     _write_atomic(os.path.join(cfg.out, f"estimates_{tag}.csv"), csv_text)
@@ -310,10 +316,11 @@ def _write_verify_artifacts(cfg: RunConfig, family, branch: Branch, status: str)
         "pre_fold_points": len(branch.pre_fold_points),
         "pointwise_all_satisfied": all_ok,
         "suprema": _suprema_summary(family, branch),
+        "m_max_effective": m_max,
         "config": cfg.as_dict(),
     }
     if status != "ok":
-        verdict["status"] = status  # flags a partial branch; absent means ok
+        verdict["status"] = status  # partial or not-applicable; absent means ok
     _write_atomic(os.path.join(cfg.out, f"verify_{tag}.json"), _json_text(verdict))
     return verdict
 
@@ -344,9 +351,12 @@ def _run_cell(cfg: RunConfig, command: str) -> dict:
             cell.update(status="partial", error=str(exc))
         cell.update(lambda_star=branch.lambda_star_estimate, fold_detected=branch.fold_detected)
         if command == "verify":
-            cell["summary"] = _write_verify_artifacts(cfg, family, branch, cell["status"])
+            if cell["status"] == "ok" and not branch.pre_fold_points:
+                cell.update(status="not-applicable",
+                            error="no pre-fold point, so no estimate was evaluated")
+            cell["summary"] = _write_verify_artifacts(cfg, family, branch, cell["status"], m_max)
         else:
-            cell["summary"] = _write_branch_artifacts(cfg, family, branch, cell["status"])
+            cell["summary"] = _write_branch_artifacts(cfg, family, branch, cell["status"], m_max)
         if command == "sweep":
             cell["estimates_ok"] = _estimate_csv(family, branch)[1]
     except _FAILURE_TYPES as exc:

@@ -179,6 +179,49 @@ def test_branch_mems_touchdown_clamp(tmp_path, capsys):
     assert json.loads(stdout)["fold_detected"] is True
 
 
+@pytest.mark.parametrize("command, artifact", [("branch", "branch_mems-p2_N3.json"),
+                                               ("verify", "verify_mems-p2_N3.json")])
+def test_summary_records_effective_m_max(command, artifact, tmp_path, capsys):
+    # the mems amplitude is clamped below touchdown; the summary says so
+    out = str(tmp_path / "clamp")
+    code, _ = run(capsys, command, "--family", "mems:p=2", "--N", "3", "--n", "64",
+                  "--m-max", "5", "--out", out)
+    assert code == 0
+    summary = json.loads(open(os.path.join(out, artifact)).read())
+    assert summary["config"]["m_max"] == 5.0
+    assert summary["m_max_effective"] == 1.0 - 1e-4
+
+
+# mems:p=0.557877 at N=3: the first solved point already has the largest lambda,
+# so no point lies before the fold
+NO_PRE_FOLD = ["--n", "51", "--m-max", "1.58", "--amplitude-step", "0.76"]
+
+
+def test_verify_without_pre_fold_point_is_not_applicable(tmp_path, capsys):
+    out = str(tmp_path / "nofold")
+    code = main(["verify", "--family", "mems:p=0.557877", "--N", "3", *NO_PRE_FOLD,
+                 "--out", out])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    verdict = json.loads(open(os.path.join(out, "verify_mems-p0_557877_N3.json")).read())
+    assert verdict["pre_fold_points"] == 0
+    assert verdict["pointwise_all_satisfied"] is False
+    assert verdict["status"] == "not-applicable"
+    estimates = open(os.path.join(out, "estimates_mems-p0_557877_N3.csv")).read()
+    assert estimates.splitlines() == ["estimate,m,lambda,lhs,rhs,margin,satisfied"]
+
+
+def test_sweep_cell_without_pre_fold_point_fails_estimates(tmp_path, capsys):
+    code, stdout = run(capsys, "sweep", "--families", "mems:p=0.557877", "--dims", "3",
+                       *NO_PRE_FOLD, "--out", str(tmp_path / "nofold"))
+    assert code == 0
+    row = dict(zip(*[line.split(",") for line in stdout.splitlines()]))
+    assert row["status"] == "ok"
+    assert row["estimates_ok"] == "false"
+
+
 @pytest.mark.parametrize("command, artifact", [("branch", "branch_exp_N3.json"),
                                                ("verify", "verify_exp_N3.json")])
 def test_partial_branch_is_kept_and_flagged(command, artifact, tmp_path, capsys):

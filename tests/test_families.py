@@ -1,6 +1,9 @@
 """Family evaluation, auxiliary functions, and their quadrature oracles."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -220,6 +223,43 @@ def test_g_and_H_nondecreasing():
         hs = h_aux_grid(fam, ts)
         assert np.all(np.diff(gs) >= -1e-14)
         assert np.all(np.diff(hs) >= -1e-14)
+
+
+@pytest.mark.parametrize("fam", [exponential(), power(1.1), power(2.0), power(4.0)],
+                         ids=lambda fam: fam.spec)
+def test_h_grid_matches_adaptive_quadrature(fam):
+    # zeros, duplicates, one value alone past a wide gap, and values up to 20
+    # so that wide gaps are split into panels; below t = 1e-3 quad's epsabs
+    # would dominate its relative error
+    rng = np.random.default_rng(7)
+    vals = np.concatenate([[0.0, 0.0, 1e-3, 2.5, 2.5, 11.0, 20.0, 20.0],
+                           rng.uniform(1e-3, 6.0, 60)])
+    rng.shuffle(vals)
+    for sample in (vals, np.array([20.0]), np.array([1e-3])):
+        for t, hv in zip(sample, h_aux_grid(fam, sample)):
+            if t == 0.0:
+                assert hv == 0.0
+                continue
+            oracle, _ = quad(lambda s: fam.fpp(s) * g_aux(fam, s), 0.0, t,
+                             epsabs=1e-14, epsrel=1e-12, limit=200)
+            assert abs(hv - oracle) <= 1e-12 * abs(oracle)
+
+
+def test_H_rejects_non_finite():
+    for t in (math.inf, math.nan):
+        with pytest.raises(FamilyDomainError):
+            H_aux(exponential(), t)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    code = ("import sys, navierlab, navierlab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=120)
+    assert result.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
