@@ -1,6 +1,6 @@
 """Numerical laboratory for the fourth-order eigenvalue problem
 Delta^2 u = lambda f(u) with hinged (u = Delta u = 0) boundary conditions
-on radial domains: minimal-branch continuation, fold and extremal-parameter
+on the unit ball: minimal-branch continuation, fold and extremal-parameter
 estimation, semi-stability spectra, a-priori estimate certification, and
 the exponent-bootstrap regularity predictor."""
 
@@ -10,9 +10,7 @@ from .families import (
     power,
     mems,
     parse_family,
-    evaluate,
     g_aux,
-    H_aux,
     gamma_limits,
 )
 from .bootstrap import (
@@ -41,13 +39,11 @@ from .branch import (
     Branch,
     solve_at_amplitude,
     continue_branch,
-    pointwise_positivity_check,
     trivial_point,
 )
 from .stability import (
     StabilityReport,
     smallest_stability_eigenvalue,
-    is_semistable,
     dirichlet_laplacian_ground_eigenvalue,
 )
 from .estimates import (

@@ -39,44 +39,35 @@ __all__ = [
     "ContinuationError",
     "solve_at_amplitude",
     "continue_branch",
-    "pointwise_positivity_check",
     "trivial_point",
 ]
+
+MAX_NEWTON = 50  # Newton steps per point
+DAMPING = 0.5  # line-search step reduction
+STEP_GROWTH = 2.0  # continuation step growth after fast convergence
+MAX_STEP_FACTOR = 4.0  # largest continuation step, in units of amplitude_step
+MIN_STEP_FACTOR = 1.0 / 1024.0  # smallest one before continuation gives up
+FOLD_REFINE_FACTOR = 64.0  # fold bracket width target: amplitude_step / this
+# touchdown margin: iterates of the singular family keep max(u) < 1 - MEMS_GUARD
+MEMS_GUARD = 1e-6
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Newton and continuation tuning knobs.
+    """The two solver settings a run chooses.
 
     ``newton_tol`` bounds both the residual max-norm relative to the natural
     row scale of the system (an absolute max-norm of 1e-10 sits below the
     1/h^2 rounding noise on fine grids) and the relative size of the last
-    applied Newton update.  ``mems_guard`` is the touchdown margin: iterates
-    of the singular family must keep max(u) < 1 - mems_guard.
+    applied Newton update.  ``amplitude_step`` is the initial continuation
+    step in the amplitude m.
     """
 
     newton_tol: float = 1e-10
-    max_newton: int = 50
     amplitude_step: float = 0.05
-    step_growth: float = 2.0
-    max_step_factor: float = 4.0
-    min_step_factor: float = 1.0 / 1024.0
-    damping: float = 0.5
-    mems_guard: float = 1e-6
-    fold_refine_factor: float = 64.0
 
     def __post_init__(self):
-        if not (
-            self.newton_tol > 0
-            and self.max_newton >= 1
-            and self.amplitude_step > 0
-            and self.step_growth >= 1
-            and self.max_step_factor >= 1
-            and 0 < self.min_step_factor <= 1
-            and 0 < self.damping < 1
-            and self.mems_guard > 0
-            and self.fold_refine_factor >= 1
-        ):
+        if not (self.newton_tol > 0 and self.amplitude_step > 0):
             raise ValueError("invalid solver configuration")
 
 
@@ -146,8 +137,8 @@ class ContinuationError(RuntimeError):
         self.partial = partial
 
 
-def _touchdown_bound(family: NonlinearityFamily, config: SolverConfig) -> float | None:
-    return 1.0 - config.mems_guard if family.singular else None
+def _touchdown_bound(family: NonlinearityFamily) -> float | None:
+    return 1.0 - MEMS_GUARD if family.singular else None
 
 
 def _residual(K: BandedOperator, family, u, v, lam, m):
@@ -184,16 +175,16 @@ def _newton(K, family, grid, m, u, v, lam, config) -> BranchPoint:
     long before lambda has stabilized, while the update criterion pins
     (u, v, lambda) to about newton_tol in relative terms.
     """
-    guard = _touchdown_bound(family, config)
+    guard = _touchdown_bound(family)
     M = grid.size
     sub, diag, sup = K.sub, K.diag, K.sup
     update_rel = None
     rn = None
-    for it in range(config.max_newton + 1):
+    for it in range(MAX_NEWTON + 1):
         R1, R2, R3, fu, rn = _residual(K, family, u, v, lam, m)
         if rn <= config.newton_tol and update_rel is not None and update_rel <= config.newton_tol:
             return BranchPoint(m, float(lam), u, v, rn, it, grid)
-        if it == config.max_newton:
+        if it == MAX_NEWTON:
             break
         # interleaved unknowns (u_0, v_0, u_1, v_1, ...): bandwidth (2, 2)
         ab = np.zeros((5, 2 * M))
@@ -222,13 +213,13 @@ def _newton(K, family, grid, m, u, v, lam, config) -> BranchPoint:
             vn = v + t * dv
             ln = lam + t * dlam
             if guard is not None and float(np.max(un)) >= guard:
-                t *= config.damping
+                t *= DAMPING
                 continue
             rn_new = _residual(K, family, un, vn, ln, m)[4]
             if rn_new < rn * (1.0 - 1e-4 * t) or rn_new <= config.newton_tol:
                 accepted = True
                 break
-            t *= config.damping
+            t *= DAMPING
         if not accepted:
             last = BranchPoint(m, float(lam), u, v, rn, it, grid)
             if guard is not None and float(np.max(u + du)) >= guard:
@@ -244,10 +235,8 @@ def _newton(K, family, grid, m, u, v, lam, config) -> BranchPoint:
             abs(dlam) / max(1.0, abs(lam)),
         )
         u, v, lam = un, vn, ln
-    last = BranchPoint(m, float(lam), u, v, rn, config.max_newton, grid)
-    raise NewtonDivergedError(
-        f"no convergence in {config.max_newton} iterations at m={m:g}", last
-    )
+    last = BranchPoint(m, float(lam), u, v, rn, MAX_NEWTON, grid)
+    raise NewtonDivergedError(f"no convergence in {MAX_NEWTON} iterations at m={m:g}", last)
 
 
 def _initial_guess(K, family, grid, m):
@@ -268,16 +257,12 @@ def solve_at_amplitude(
 ) -> BranchPoint:
     """Solve the augmented system at amplitude m = u(center).
 
-    The amplitude constraint closes the system at the first active node, so
-    the grid must be a ball.  ``guess`` warm-starts Newton from an earlier
-    point on the same grid.
+    ``guess`` warm-starts Newton from an earlier point on the same grid.
     """
     config = config or SolverConfig()
-    if not grid.is_ball:
-        raise ValueError("amplitude continuation is defined on ball grids")
     if m <= 0.0:
         raise ValueError("amplitude must be positive")
-    guard = _touchdown_bound(family, config)
+    guard = _touchdown_bound(family)
     if guard is not None and m >= guard:
         raise ValueError(f"amplitude {m:g} violates the touchdown guard {guard:g}")
     K = minus_laplacian(grid)
@@ -315,22 +300,20 @@ def continue_branch(
 
     Steps halve whenever Newton diverges (or a singular iterate touches
     down) and grow after fast convergence, capped at
-    max_step_factor * amplitude_step.  A fold is recorded when the sampled
+    MAX_STEP_FACTOR * amplitude_step.  A fold is recorded when the sampled
     lambda attains an interior maximum; the extremal-parameter estimate is
     the refined parabola vertex there.
     """
     config = config or SolverConfig()
-    if not grid.is_ball:
-        raise ValueError("amplitude continuation is defined on ball grids")
     if m_max <= 0.0:
         raise ValueError("m_max must be positive")
-    guard = _touchdown_bound(family, config)
+    guard = _touchdown_bound(family)
     if guard is not None and m_max >= guard:
         raise ValueError(f"m_max {m_max:g} violates the touchdown guard {guard:g}")
     K = minus_laplacian(grid)
     step0 = config.amplitude_step
-    step_cap = config.max_step_factor * step0
-    step_floor = config.min_step_factor * step0
+    step_cap = MAX_STEP_FACTOR * step0
+    step_floor = MIN_STEP_FACTOR * step0
     points: list[BranchPoint] = []
     prev: BranchPoint | None = None
     prev2: BranchPoint | None = None
@@ -365,7 +348,7 @@ def continue_branch(
         if m_target >= m_max:
             break
         if pt.newton_iters <= 4:
-            step = min(step * config.step_growth, step_cap)
+            step = min(step * STEP_GROWTH, step_cap)
         m_next = min(m_target + step, m_max)
         if guard is not None:
             m_next = min(m_next, guard * (1.0 - 1e-12))
@@ -385,11 +368,11 @@ def _refine_fold_bracket(K, family, grid, config, points) -> None:
     for the extremal-parameter estimate and lets the tracked integrals
     flatten visibly as the fold is approached.  New points are inserted in
     amplitude order.  Stops once the bracket is narrower than
-    amplitude_step / fold_refine_factor.
+    amplitude_step / FOLD_REFINE_FACTOR.
     """
     if len(points) < 3:
         return
-    width_target = config.amplitude_step / config.fold_refine_factor
+    width_target = config.amplitude_step / FOLD_REFINE_FACTOR
     for _ in range(200):
         lams = [p.lam for p in points]
         k = int(np.argmax(lams))
@@ -420,12 +403,6 @@ def _assemble_branch(points, grid, family) -> Branch:
     fold = 0 < k < len(points) - 1
     lam_star = _refine_lambda_star(ms, lams, k) if fold else float(lams[k])
     return Branch(points, lam_star, fold, grid, family.spec)
-
-
-def pointwise_positivity_check(point: BranchPoint) -> tuple[float, float]:
-    """Minima of u and v over the grid; both should be nonnegative on the
-    minimal branch up to discretization tolerance."""
-    return float(np.min(point.u)), float(np.min(point.v))
 
 
 def trivial_point(grid: RadialGrid) -> BranchPoint:

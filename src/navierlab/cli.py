@@ -49,6 +49,12 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_COMPUTE = 4
 
+# the singular family is continued no further than this amplitude, which the
+# grid still resolves; its fold sits far below
+MEMS_M_MAX = 1.0 - 1e-4
+# the most initial-size continuation steps a run may ask for
+MAX_CONTINUATION_STEPS = 10_000
+
 
 # ---------------------------------------------------------------------------
 # the failure table
@@ -214,13 +220,22 @@ def _parse_dims(spec: str) -> list[int]:
     return sorted(set(dims))
 
 
+def _effective_m_max(family, m_max: float) -> float:
+    """The amplitude the continuation runs to: m_max, clamped for mems."""
+    return min(m_max, MEMS_M_MAX) if family.singular else m_max
+
+
 def _validate_run_config(cfg: RunConfig) -> None:
     """Fail fast on bad values before any compute starts."""
-    parse_family(cfg.family)
+    family = parse_family(cfg.family)
     RadialGrid(cfg.dim_N, cfg.n)
     SolverConfig(newton_tol=cfg.tol, amplitude_step=cfg.amplitude_step)
     if not 0.0 < cfg.m_max < math.inf:
         raise ValueError("m_max must be positive and finite")
+    steps = _effective_m_max(family, cfg.m_max) / cfg.amplitude_step
+    if steps > MAX_CONTINUATION_STEPS:
+        raise ValueError(f"m_max / amplitude_step = {steps:g} exceeds the limit of "
+                         f"{MAX_CONTINUATION_STEPS} continuation steps")
     if cfg.jobs < 1:
         raise ValueError("jobs must be >= 1")
 
@@ -339,8 +354,7 @@ def _run_cell(cfg: RunConfig, command: str) -> dict:
         verdict = bs.predict_regularity(family, cfg.dim_N)
         cell.update(verdict=verdict.verdict, rule=verdict.rule)
     solver = SolverConfig(newton_tol=cfg.tol, amplitude_step=cfg.amplitude_step)
-    # amplitudes the grid can still resolve; the fold sits far below
-    m_max = min(cfg.m_max, 1.0 - 1e-4) if family.singular else cfg.m_max
+    m_max = _effective_m_max(family, cfg.m_max)
     try:
         try:
             branch = continue_branch(family, RadialGrid(cfg.dim_N, cfg.n), m_max, solver)

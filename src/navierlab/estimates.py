@@ -64,7 +64,6 @@ L2 = "f-squared"
 FPRIME = "fprime-power"
 
 TOL_FACTOR = 1e-6
-LOW_CONFIDENCE_MARGIN = 10.0  # times the touchdown guard
 
 
 @dataclass
@@ -78,7 +77,6 @@ class EstimateReport:
     m: float
     lam: float
     grid_id: str
-    low_confidence: bool = False
 
 
 @dataclass
@@ -104,15 +102,7 @@ def _meta(point: BranchPoint) -> tuple[float, float, str]:
     return point.m, point.lam, point.grid.key()
 
 
-def _low_confidence(family: NonlinearityFamily, point: BranchPoint, guard: float) -> bool:
-    if not family.singular:
-        return False
-    return float(np.max(point.u)) > 1.0 - LOW_CONFIDENCE_MARGIN * guard
-
-
-def check_pointwise_bound(
-    family: NonlinearityFamily, point: BranchPoint, mems_guard: float = 1e-6
-) -> EstimateReport:
+def check_pointwise_bound(family: NonlinearityFamily, point: BranchPoint) -> EstimateReport:
     """Nodewise v - sqrt(lambda) g(u) >= 0; margin is the grid minimum."""
     m, lam, gid = _meta(point)
     gu = np.asarray(g_aux(family, point.u), dtype=float)
@@ -130,13 +120,10 @@ def check_pointwise_bound(
         m=m,
         lam=lam,
         grid_id=gid,
-        low_confidence=_low_confidence(family, point, mems_guard),
     )
 
 
-def check_energy_estimate(
-    family: NonlinearityFamily, point: BranchPoint, mems_guard: float = 1e-6
-) -> EstimateReport:
+def check_energy_estimate(family: NonlinearityFamily, point: BranchPoint) -> EstimateReport:
     """int f''(u) v (u')^2 dx <= lambda int f(u) dx."""
     m, lam, gid = _meta(point)
     grid = point.grid
@@ -145,15 +132,10 @@ def check_energy_estimate(
     rhs = lam * integrate_radial(family.f(point.u), grid, outer=float(family.f(0.0)))
     margin = rhs - lhs
     tol = _tol(lhs, rhs)
-    return EstimateReport(
-        ENERGY, lhs, rhs, margin, margin >= -tol, tol, m, lam, gid,
-        low_confidence=_low_confidence(family, point, mems_guard),
-    )
+    return EstimateReport(ENERGY, lhs, rhs, margin, margin >= -tol, tol, m, lam, gid)
 
 
-def check_gH_estimate(
-    family: NonlinearityFamily, point: BranchPoint, mems_guard: float = 1e-6
-) -> EstimateReport:
+def check_gH_estimate(family: NonlinearityFamily, point: BranchPoint) -> EstimateReport:
     """int g(u) H(u) dx <= int f(u) dx."""
     m, lam, gid = _meta(point)
     grid = point.grid
@@ -163,15 +145,10 @@ def check_gH_estimate(
     rhs = integrate_radial(family.f(point.u), grid, outer=float(family.f(0.0)))
     margin = rhs - lhs
     tol = _tol(lhs, rhs)
-    return EstimateReport(
-        G_H, lhs, rhs, margin, margin >= -tol, tol, m, lam, gid,
-        low_confidence=_low_confidence(family, point, mems_guard),
-    )
+    return EstimateReport(G_H, lhs, rhs, margin, margin >= -tol, tol, m, lam, gid)
 
 
-def check_basic_energy(
-    family: NonlinearityFamily, point: BranchPoint, mems_guard: float = 1e-6
-) -> EstimateReport:
+def check_basic_energy(family: NonlinearityFamily, point: BranchPoint) -> EstimateReport:
     """int f'(u) u^2 dx <= int f(u) u dx."""
     m, lam, gid = _meta(point)
     grid = point.grid
@@ -179,21 +156,16 @@ def check_basic_energy(
     rhs = integrate_radial(family.f(point.u) * point.u, grid, outer=0.0)
     margin = rhs - lhs
     tol = _tol(lhs, rhs)
-    return EstimateReport(
-        BASIC_ENERGY, lhs, rhs, margin, margin >= -tol, tol, m, lam, gid,
-        low_confidence=_low_confidence(family, point, mems_guard),
-    )
+    return EstimateReport(BASIC_ENERGY, lhs, rhs, margin, margin >= -tol, tol, m, lam, gid)
 
 
-def run_pointwise_suite(
-    family: NonlinearityFamily, point: BranchPoint, mems_guard: float = 1e-6
-) -> list[EstimateReport]:
+def run_pointwise_suite(family: NonlinearityFamily, point: BranchPoint) -> list[EstimateReport]:
     """All four per-point checks in a fixed order."""
     return [
-        check_pointwise_bound(family, point, mems_guard),
-        check_energy_estimate(family, point, mems_guard),
-        check_gH_estimate(family, point, mems_guard),
-        check_basic_energy(family, point, mems_guard),
+        check_pointwise_bound(family, point),
+        check_energy_estimate(family, point),
+        check_gH_estimate(family, point),
+        check_basic_energy(family, point),
     ]
 
 

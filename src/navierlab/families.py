@@ -41,9 +41,7 @@ __all__ = [
     "power",
     "mems",
     "parse_family",
-    "evaluate",
     "g_aux",
-    "H_aux",
     "h_aux_grid",
     "GammaLimits",
     "gamma_limits",
@@ -96,13 +94,6 @@ class NonlinearityFamily:
         if self.kind == "exp":
             return "exp"
         return f"{self.kind}:p={self.p:g}"
-
-    @property
-    def label(self) -> str:
-        """Filesystem-safe tag."""
-        if self.kind == "exp":
-            return "exp"
-        return f"{self.kind}-p{self.p:g}".replace(".", "_")
 
     # -- pointwise evaluation ----------------------------------------------
 
@@ -172,11 +163,6 @@ def parse_family(spec: str) -> NonlinearityFamily:
     raise FamilyDomainError(
         f"bad family spec {spec!r}; expected exp, power:p=<real> or mems:p=<real>"
     )
-
-
-def evaluate(family: NonlinearityFamily, t):
-    """Return the triple (f(t), f'(t), f''(t))."""
-    return family.f(t), family.fp(t), family.fpp(t)
 
 
 # ---------------------------------------------------------------------------
@@ -249,16 +235,6 @@ def _mems_H(p: float, values: np.ndarray) -> np.ndarray:
     )
 
 
-def H_aux(family: NonlinearityFamily, t: float) -> float:
-    """Cumulative weight H(t) = int_0^t f''(s) g(s) ds.
-
-    A single value of h_aux_grid: closed form for mems (see
-    _mems_H_constants), the composite Gauss-Legendre rule for the regular
-    families.
-    """
-    return float(h_aux_grid(family, np.array([float(t)]))[0])
-
-
 # composite rule for H: 8-point Gauss-Legendre nodes and weights on [-1, 1],
 # applied on equal panels no wider than _PANEL_WIDTH
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -266,13 +242,14 @@ _PANEL_WIDTH = 0.25
 
 
 def h_aux_grid(family: NonlinearityFamily, values: np.ndarray) -> np.ndarray:
-    """H evaluated at every entry of ``values``.
+    """Cumulative weight H(t) = int_0^t f''(s) g(s) ds at each entry of ``values``.
 
-    For mems the closed form is vectorized directly.  For the regular
-    families the values are sorted, each gap between consecutive values
-    (starting from 0) is split into equal panels no wider than _PANEL_WIDTH,
-    and every panel is integrated with the 8-point Gauss-Legendre rule in one
-    array pass; H is the cumulative sum of the gap integrals.
+    For mems the closed form (see _mems_H_constants) is vectorized directly.
+    For the regular families the values are sorted, each gap between
+    consecutive values (starting from 0) is split into equal panels no wider
+    than _PANEL_WIDTH, and every panel is integrated with the 8-point
+    Gauss-Legendre rule in one array pass; H is the cumulative sum of the gap
+    integrals.
     """
     values = np.asarray(values, dtype=float)
     _check_aux_domain(family, values)

@@ -1,11 +1,9 @@
 """Radial discretization of the Laplacian and biharmonic operator.
 
-Profiles live on a uniform mesh of [r_inner, 1] in the unit ball (or
-annulus) of R^N.  With n interior nodes the spacing is h = (1-r_inner)/(n+1);
-the active unknowns are the interior nodes plus the center when
-r_inner = 0, and homogeneous Dirichlet data is eliminated at r = 1 (and at
-r = r_inner for an annulus).  A radial field is a plain numpy array aligned
-with ``grid.r``.
+Profiles live on a uniform mesh of [0, 1] in the unit ball of R^N.  With n
+interior nodes the spacing is h = 1/(n+1); the active unknowns are the
+center and the interior nodes, and homogeneous Dirichlet data is eliminated
+at r = 1.  A radial field is a plain numpy array aligned with ``grid.r``.
 
 The Laplacian u'' + (N-1)/r u' is discretized in conservative (flux) form
 
@@ -55,16 +53,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform radial mesh on [r_inner, r_outer] in dimension dim_N.
+    """Uniform radial mesh on [0, 1] in the unit ball of R^dim_N.
 
-    ``n`` counts interior nodes; the active node set adds the center for a
-    ball.  ``r`` holds the active radii in increasing order.
+    ``n`` counts interior nodes; the active node set adds the center.  ``r``
+    holds the active radii 0, h, ..., 1 - h in increasing order.
     """
 
     dim_N: int
     n: int
-    r_inner: float = 0.0
-    r_outer: float = 1.0
     h: float = field(init=False)
     r: np.ndarray = field(init=False, repr=False)
 
@@ -73,66 +69,47 @@ class RadialGrid:
             raise ValueError("dimension must be >= 2")
         if self.n < 4:
             raise ValueError("need at least 4 interior nodes")
-        if not 0.0 <= self.r_inner < self.r_outer:
-            raise ValueError("need 0 <= r_inner < r_outer")
-        h = (self.r_outer - self.r_inner) / (self.n + 1)
-        if self.is_ball:
-            r = np.arange(0, self.n + 1) * h
-        else:
-            r = self.r_inner + np.arange(1, self.n + 1) * h
+        h = 1.0 / (self.n + 1)
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "r", r)
-
-    @property
-    def is_ball(self) -> bool:
-        return self.r_inner == 0.0
+        object.__setattr__(self, "r", np.arange(0, self.n + 1) * h)
 
     @property
     def size(self) -> int:
         """Number of active nodes (length of a field)."""
-        return self.n + 1 if self.is_ball else self.n
+        return self.n + 1
 
     def key(self) -> str:
-        shape = "ball" if self.is_ball else f"annulus-a{self.r_inner:g}"
-        return f"{shape}-N{self.dim_N}-n{self.n}"
+        return f"ball-N{self.dim_N}-n{self.n}"
 
     def json_header(self) -> dict:
-        return {
-            "N": self.dim_N,
-            "n": self.n,
-            "r_inner": self.r_inner,
-            "r_outer": self.r_outer,
-        }
+        return {"N": self.dim_N, "n": self.n, "r_inner": 0.0, "r_outer": 1.0}
 
 
 @dataclass
 class BandedOperator:
-    """Tridiagonal operator on the active nodes with eliminated boundary data.
+    """Tridiagonal operator on the active nodes of the ball.
 
     ``sub``, ``diag``, ``sup`` are the three diagonals; ``outer_coupling``
-    (and ``inner_coupling`` for an annulus) record the stencil weight of the
-    eliminated boundary node so that inhomogeneous boundary values can still
-    be applied.
+    records the stencil weight of the eliminated boundary node at r = 1 so
+    that an inhomogeneous boundary value can still be applied.
     """
 
     sub: np.ndarray
     diag: np.ndarray
     sup: np.ndarray
     outer_coupling: float = 0.0
-    inner_coupling: float = 0.0
 
     @property
     def size(self) -> int:
         return len(self.diag)
 
-    def apply(self, values: np.ndarray, outer: float = 0.0, inner: float = 0.0) -> np.ndarray:
-        """Matrix-vector product, with optional boundary values."""
+    def apply(self, values: np.ndarray, outer: float = 0.0) -> np.ndarray:
+        """Matrix-vector product, with an optional boundary value at r = 1."""
         x = np.asarray(values, dtype=float)
         y = self.diag * x
         y[1:] += self.sub[1:] * x[:-1]
         y[:-1] += self.sup[:-1] * x[1:]
         y[-1] += self.outer_coupling * outer
-        y[0] += self.inner_coupling * inner
         return y
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -144,9 +121,7 @@ class BandedOperator:
         return solve_banded((1, 1), ab, np.asarray(rhs, dtype=float), check_finite=False)
 
     def negated(self) -> "BandedOperator":
-        return BandedOperator(
-            -self.sub, -self.diag, -self.sup, -self.outer_coupling, -self.inner_coupling
-        )
+        return BandedOperator(-self.sub, -self.diag, -self.sup, -self.outer_coupling)
 
 
 def laplacian_matrix(grid: RadialGrid) -> BandedOperator:
@@ -156,24 +131,18 @@ def laplacian_matrix(grid: RadialGrid) -> BandedOperator:
     sub = np.zeros(M)
     diag = np.zeros(M)
     sup = np.zeros(M)
-    i0 = 1 if grid.is_ball else 0
-    if grid.is_ball:
-        diag[0] = -2.0 * N / h**2
-        sup[0] = 2.0 * N / h**2
-    ri = r[i0:]
+    diag[0] = -2.0 * N / h**2
+    sup[0] = 2.0 * N / h**2
+    ri = r[1:]
     km = (ri - h / 2.0) ** (N - 1)
     kp = (ri + h / 2.0) ** (N - 1)
     rho = ((ri + h / 2.0) ** N - (ri - h / 2.0) ** N) / (N * h)
-    sub[i0:] = km / (h**2 * rho)
-    diag[i0:] = -(km + kp) / (h**2 * rho)
-    sup[i0:] = kp / (h**2 * rho)
+    sub[1:] = km / (h**2 * rho)
+    diag[1:] = -(km + kp) / (h**2 * rho)
+    sup[1:] = kp / (h**2 * rho)
     outer = sup[M - 1]
     sup[M - 1] = 0.0
-    inner = 0.0
-    if not grid.is_ball:
-        inner = sub[0]
-        sub[0] = 0.0
-    return BandedOperator(sub, diag, sup, outer_coupling=outer, inner_coupling=inner)
+    return BandedOperator(sub, diag, sup, outer_coupling=outer)
 
 
 def minus_laplacian(grid: RadialGrid) -> BandedOperator:
@@ -196,13 +165,10 @@ def volume_weights(grid: RadialGrid) -> np.ndarray:
     For high-order integrals use ``integrate_radial``.
     """
     N, h, r = grid.dim_N, grid.h, grid.r
-    M = grid.size
-    w = np.zeros(M)
-    i0 = 1 if grid.is_ball else 0
-    if grid.is_ball:
-        w[0] = (h / 2.0) ** N / N
-    ri = r[i0:]
-    w[i0:] = ((ri + h / 2.0) ** N - (ri - h / 2.0) ** N) / N
+    w = np.zeros(grid.size)
+    w[0] = (h / 2.0) ** N / N
+    ri = r[1:]
+    w[1:] = ((ri + h / 2.0) ** N - (ri - h / 2.0) ** N) / N
     return unit_sphere_area(N) * w
 
 
@@ -229,26 +195,19 @@ def _simpson_weights(npts: int, h: float) -> np.ndarray:
     return w
 
 
-def integrate_radial(
-    values: np.ndarray, grid: RadialGrid, outer: float = 0.0, inner: float = 0.0
-) -> float:
-    """Integral over the domain of a radial integrand given on active nodes.
+def integrate_radial(values: np.ndarray, grid: RadialGrid, outer: float = 0.0) -> float:
+    """Integral over the ball of a radial integrand given on active nodes.
 
-    Computes omega_{N-1} * int phi(r) r^(N-1) dr by composite Simpson.
-    ``outer`` (and ``inner`` for an annulus) supply the integrand values at
-    the eliminated boundary nodes; they default to zero, which is correct
-    for quantities vanishing on the boundary but must be set explicitly for
-    e.g. f(u) with u = 0 there.
+    Computes omega_{N-1} * int_0^1 phi(r) r^(N-1) dr by composite Simpson.
+    ``outer`` supplies the integrand value at the eliminated boundary node
+    r = 1; it defaults to zero, which is correct for quantities vanishing on
+    the boundary but must be set explicitly for e.g. f(u) with u = 0 there.
     """
     x = np.asarray(values, dtype=float)
     if len(x) != grid.size:
         raise ValueError("field length does not match grid")
-    if grid.is_ball:
-        full_vals = np.concatenate([x, [outer]])
-        full_r = np.concatenate([grid.r, [grid.r_outer]])
-    else:
-        full_vals = np.concatenate([[inner], x, [outer]])
-        full_r = np.concatenate([[grid.r_inner], grid.r, [grid.r_outer]])
+    full_vals = np.concatenate([x, [outer]])
+    full_r = np.concatenate([grid.r, [1.0]])
     w = _simpson_weights(len(full_r), grid.h)
     return unit_sphere_area(grid.dim_N) * float(
         np.sum(w * full_vals * full_r ** (grid.dim_N - 1))
@@ -256,11 +215,11 @@ def integrate_radial(
 
 
 def radial_gradient(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """Radial derivative u'(r): centered interior, one-sided O(h^2) at ends.
+    """Radial derivative u'(r): centered interior, one-sided O(h^2) at r = 1 - h.
 
-    For a ball the center value is the symmetry condition u'(0) = 0.  Only
-    active-node data is used, so the one-sided stencil at the outer end does
-    not presume a boundary value.
+    The center value is the symmetry condition u'(0) = 0.  Only active-node
+    data is used, so the one-sided stencil at the outer end does not presume
+    a boundary value.
     """
     x = np.asarray(values, dtype=float)
     if len(x) != grid.size:
@@ -269,10 +228,7 @@ def radial_gradient(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
     d = np.empty_like(x)
     d[1:-1] = (x[2:] - x[:-2]) / (2.0 * h)
     d[-1] = (3.0 * x[-1] - 4.0 * x[-2] + x[-3]) / (2.0 * h)
-    if grid.is_ball:
-        d[0] = 0.0
-    else:
-        d[0] = (-3.0 * x[0] + 4.0 * x[1] - x[2]) / (2.0 * h)
+    d[0] = 0.0
     return d
 
 

@@ -43,11 +43,16 @@ __all__ = [
     "StabilityReport",
     "EigenIterationError",
     "smallest_stability_eigenvalue",
-    "is_semistable",
     "dirichlet_laplacian_ground_eigenvalue",
 ]
 
 EIG_TOL = 1e-10
+MAX_INVERSE_ITERS = 400
+# iterate change that ends inverse iteration; see _inverse_iteration
+_VEC_TOL = max(1e-8, np.sqrt(EIG_TOL) * 1e-3)
+_NOT_STABILIZED = (
+    f"eigenvalue failed to stabilize to {EIG_TOL:g} within {MAX_INVERSE_ITERS} steps"
+)
 
 
 @dataclass
@@ -79,11 +84,8 @@ def _tridiag_square_bands(K) -> np.ndarray:
 
 
 def _start_vector(grid: RadialGrid) -> np.ndarray:
-    """Positive bump vanishing at the outer boundary; good ground-state overlap."""
-    t = (grid.r - grid.r_inner) / (grid.r_outer - grid.r_inner)
-    if grid.is_ball:
-        return np.cos(0.5 * np.pi * t)
-    return np.sin(np.pi * t)
+    """Positive bump vanishing at r = 1; good ground-state overlap."""
+    return np.cos(0.5 * np.pi * grid.r)
 
 
 def _symmetrized_upper_bands(ab, W):
@@ -111,44 +113,39 @@ def _eigenvalues_below(upper, cutoff):
     )
 
 
-def _inverse_iteration(ab_shifted, apply_B, W, x0, tol, max_iters):
+def _inverse_iteration(ab_shifted, apply_B, W, x0):
     """Fixed-shift inverse power iteration with W-Rayleigh quotients.
 
     Convergence is declared on the W-norm change of the (sign-aligned)
-    iterate: a vector change below 1e-8 pins the Rayleigh quotient to a
-    relative accuracy of order 1e-16, comfortably beyond the requested
-    eigenvalue tolerance, and — unlike a relative test on the eigenvalue
-    itself — stays meaningful when the eigenvalue crosses zero at a fold.
+    iterate: a vector change below _VEC_TOL = 1e-8 pins the Rayleigh
+    quotient to a relative accuracy of order 1e-16, comfortably beyond
+    EIG_TOL, and — unlike a relative test on the eigenvalue itself — stays
+    meaningful when the eigenvalue crosses zero at a fold.
     """
-    vec_tol = max(1e-8, np.sqrt(tol) * 1e-3)
     x = x0 / np.sqrt(x0 @ (W * x0))
     mu = None
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_INVERSE_ITERS + 1):
         y = solve_banded((2, 2), ab_shifted, x, check_finite=False)
         if float(y @ (W * x)) < 0.0:
             y = -y
         y = y / np.sqrt(y @ (W * y))
         dx = float(np.sqrt((y - x) @ (W * (y - x))))
         x = y
-        if dx <= vec_tol:
+        if dx <= _VEC_TOL:
             mu = apply_B(y)
             return float(mu), x, it, True
     mu = apply_B(x)
-    return float(mu), x, max_iters, False
+    return float(mu), x, MAX_INVERSE_ITERS, False
 
 
 def smallest_stability_eigenvalue(
-    family: NonlinearityFamily,
-    point: BranchPoint,
-    tol: float = EIG_TOL,
-    max_iters: int = 400,
-    shift: float = 0.0,
+    family: NonlinearityFamily, point: BranchPoint
 ) -> StabilityReport:
     """Smallest eigenvalue of K^2 - lambda f'(u) in the weighted inner product.
 
     The returned eigenfunction is W-normalized and its Rayleigh quotient
     reproduces mu1 to the solver tolerance.  Raises EigenIterationError if
-    the quotient has not stabilized after ``max_iters`` solves.
+    the quotient has not stabilized after MAX_INVERSE_ITERS solves.
     """
     grid = point.grid
     K = minus_laplacian(grid)
@@ -173,13 +170,13 @@ def smallest_stability_eigenvalue(
         for _ in range(3):
             ab_shifted[2, :] = ab[2, :] - sigma
             try:
-                return _inverse_iteration(ab_shifted, apply_B, W, x0, tol, max_iters)
+                return _inverse_iteration(ab_shifted, apply_B, W, x0)
             except np.linalg.LinAlgError:
                 # singular factorization exactly at the shift: nudge and retry
                 sigma = sigma + 1e-8 * max(1.0, abs(sigma), D * np.finfo(float).eps)
         raise EigenIterationError("factorization singular at the shifted operator")
 
-    mu, vec, iters, ok = iterate_at(shift)
+    mu, vec, iters, ok = iterate_at(0.0)
     total_iters = iters
     # the zero-shift iteration targets the eigenvalue of smallest magnitude,
     # which past the fold need not be the leftmost (and near |mu1| = |mu2| it
@@ -198,20 +195,10 @@ def smallest_stability_eigenvalue(
         sigma = target - max(2.0 * eps_t, 1e-6 * (1.0 + abs(target)))
         mu, vec, iters, ok = iterate_at(sigma)
         total_iters += iters
-    raise EigenIterationError(
-        f"eigenvalue failed to stabilize to {tol:g} within {max_iters} steps"
-    )
+    raise EigenIterationError(_NOT_STABILIZED)
 
 
-def is_semistable(family: NonlinearityFamily, point: BranchPoint, tol: float) -> bool:
-    """True when the smallest stability eigenvalue is >= -tol."""
-    report = smallest_stability_eigenvalue(family, point)
-    return report.mu1 >= -tol
-
-
-def dirichlet_laplacian_ground_eigenvalue(
-    grid: RadialGrid, tol: float = EIG_TOL, max_iters: int = 400
-) -> float:
+def dirichlet_laplacian_ground_eigenvalue(grid: RadialGrid) -> float:
     """Ground eigenvalue of -Delta_h with Dirichlet data, same stencil.
 
     Used as the oracle for the spectral identity: at the zero solution the
@@ -228,9 +215,7 @@ def dirichlet_laplacian_ground_eigenvalue(
     def apply_B(y):
         return float(y @ (W * K.apply(y)))
 
-    mu, _, iters, ok = _inverse_iteration(ab, apply_B, W, _start_vector(grid), tol, max_iters)
+    mu, _, iters, ok = _inverse_iteration(ab, apply_B, W, _start_vector(grid))
     if not ok:
-        raise EigenIterationError(
-            f"eigenvalue failed to stabilize to {tol:g} within {max_iters} steps"
-        )
+        raise EigenIterationError(_NOT_STABILIZED)
     return mu

@@ -348,6 +348,8 @@ FAILING = {
     "predict-out-under-file": ["predict", "--family", "exp", "--N", "3", "--out", "{file}/p.json"],
     "bootstrap-out-under-file": ["bootstrap", "--N", "6", "--q", "1", "--alpha", "1.5",
                                  "--beta", "0.5", "--out", "{file}/b.json"],
+    "branch-runaway-steps": ["branch", "--family", "exp", "--m-max", "1000",
+                             "--amplitude-step", "1e-4"],
 }
 
 

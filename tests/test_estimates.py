@@ -3,7 +3,6 @@ sanity inversions, preconditions, and the exponential identity."""
 
 import math
 
-import numpy as np
 import pytest
 
 from navierlab.branch import Branch, BranchPoint, continue_branch, trivial_point
@@ -202,17 +201,6 @@ def test_fprime_rejects_gamma_out_of_range():
     branch = single_point_branch(trivial_point(grid))
     with pytest.raises(ValueError):
         check_fprime_integral(mems(0.5), branch)  # gamma = 3 not in (0, 2)
-
-
-def test_low_confidence_flag():
-    grid = RadialGrid(4, 128)
-    u = (1.0 - 5e-6) * (1.0 - grid.r**2)  # max u inside 10x the guard margin
-    v = np.zeros(grid.size)
-    pt = BranchPoint(u[0], 1.0, u, v, 0.0, 0, grid)
-    rep = check_basic_energy(mems(2.0), pt)
-    assert rep.low_confidence
-    cold = BranchPoint(0.5, 1.0, 0.5 * (1.0 - grid.r**2), v, 0.0, 0, grid)
-    assert not check_basic_energy(mems(2.0), cold).low_confidence
 
 
 def test_holder_criterion():

@@ -16,9 +16,7 @@ from navierlab.families import (
     power,
     mems,
     parse_family,
-    evaluate,
     g_aux,
-    H_aux,
     h_aux_grid,
     gamma_limits,
 )
@@ -42,8 +40,13 @@ def g_quadrature(family, t):
     return math.sqrt(2.0) * math.sqrt(max(val, 0.0))
 
 
+def h_at(family, t):
+    """H at one value through h_aux_grid."""
+    return float(h_aux_grid(family, np.array([t]))[0])
+
+
 def h_simpson(family, t, panels):
-    """Fixed composite-Simpson value of int_0^t f'' g, independent of H_aux."""
+    """Fixed composite-Simpson value of int_0^t f'' g, independent of h_aux_grid."""
     if t == 0.0:
         return 0.0
     x = np.linspace(0.0, t, 2 * panels + 1)
@@ -58,17 +61,19 @@ def h_simpson(family, t, panels):
 
 
 def test_eval_exponential_at_zero():
-    assert evaluate(exponential(), 0.0) == (1.0, 1.0, 1.0)
+    fam = exponential()
+    assert (fam.f(0.0), fam.fp(0.0), fam.fpp(0.0)) == (1.0, 1.0, 1.0)
 
 
 def test_eval_power_two_at_one():
-    f, fp, fpp = evaluate(power(2.0), 1.0)
-    assert (f, fp, fpp) == (4.0, 4.0, 2.0)
+    fam = power(2.0)
+    assert (fam.f(1.0), fam.fp(1.0), fam.fpp(1.0)) == (4.0, 4.0, 2.0)
 
 
 def test_eval_mems_two_at_half():
     # hand differentiation of (1-t)^-2 at t = 1/2
-    f, fp, fpp = evaluate(mems(2.0), 0.5)
+    fam = mems(2.0)
+    f, fp, fpp = fam.f(0.5), fam.fp(0.5), fam.fpp(0.5)
     assert abs(f - 4.0) < 1e-12
     assert abs(fp - 16.0) < 1e-12
     assert abs(fpp - 96.0) < 1e-12
@@ -106,7 +111,7 @@ def test_type_conditions_sampled():
     # singular family: increasing convex on [0,1), blows up at 1
     for fam in ALL_FAMILIES:
         ts = sample_points(fam)
-        f, fp, fpp = evaluate(fam, ts)
+        fp, fpp = fam.fp(ts), fam.fpp(ts)
         assert abs(fam.f(0.0) - 1.0) < 1e-15
         assert np.all(fp >= 0.0)
         assert np.all(fpp >= 0.0)
@@ -176,15 +181,15 @@ def test_g_requires_admissible_range():
 
 def test_H_zero():
     for fam in [exponential(), power(2.0), mems(2.0)]:
-        assert H_aux(fam, 0.0) == 0.0
+        assert h_at(fam, 0.0) == 0.0
 
 
 def test_H_exponential_quadrature_oracle():
-    # two Simpson refinement levels agree, then pin H_aux against them
+    # two Simpson refinement levels agree, then pin H against them
     coarse = h_simpson(exponential(), 1.0, 400)
     fine = h_simpson(exponential(), 1.0, 800)
     assert abs(fine - coarse) <= 1e-10 * abs(fine)
-    assert abs(H_aux(exponential(), 1.0) - fine) <= 1e-9 * abs(fine)
+    assert abs(h_at(exponential(), 1.0) - fine) <= 1e-9 * abs(fine)
 
 
 def test_H_mems_closed_form_matches_quadrature():
@@ -195,13 +200,13 @@ def test_H_mems_closed_form_matches_quadrature():
             oracle, _ = quad(
                 lambda s: fam.fpp(s) * g_aux(fam, s), 0.0, t, epsabs=1e-14, epsrel=1e-12
             )
-            assert abs(H_aux(fam, float(t)) - oracle) <= 1e-10 * max(abs(oracle), 1.0)
+            assert abs(h_at(fam, float(t)) - oracle) <= 1e-10 * max(abs(oracle), 1.0)
 
 
 def test_H_power_matches_simpson():
     fam = power(2.0)
     fine = h_simpson(fam, 2.0, 800)
-    assert abs(H_aux(fam, 2.0) - fine) <= 1e-9 * abs(fine)
+    assert abs(h_at(fam, 2.0) - fine) <= 1e-9 * abs(fine)
 
 
 def test_h_grid_consistent_with_scalar():
@@ -212,7 +217,7 @@ def test_h_grid_consistent_with_scalar():
         vals[5] = vals[11]  # duplicates must not break the incremental path
         grid_vals = h_aux_grid(fam, vals)
         for t, hv in zip(vals, grid_vals):
-            assert abs(hv - H_aux(fam, float(t))) <= 1e-9 * max(abs(hv), 1.0)
+            assert abs(hv - h_at(fam, float(t))) <= 1e-9 * max(abs(hv), 1.0)
 
 
 def test_g_and_H_nondecreasing():
@@ -248,7 +253,7 @@ def test_h_grid_matches_adaptive_quadrature(fam):
 def test_H_rejects_non_finite():
     for t in (math.inf, math.nan):
         with pytest.raises(FamilyDomainError):
-            H_aux(exponential(), t)
+            h_aux_grid(exponential(), np.array([t]))
 
 
 def test_import_leaves_scipy_integrate_unloaded():
@@ -334,6 +339,5 @@ def test_gamma_limits_match_sampled_ratio():
     # the ratio f f''/(f')^2 is constant for every family here; the exp
     # sample stays below the overflow threshold of the squared derivative
     for fam, t in [(exponential(), 300.0), (power(2.0), 1e6), (power(4.0), 1e6), (mems(2.0), 1.0 - 1e-9)]:
-        f, fp, fpp = evaluate(fam, t)
-        ratio = f * fpp / fp**2
+        ratio = fam.f(t) * fam.fpp(t) / fam.fp(t) ** 2
         assert abs(ratio - gamma_limits(fam).gamma_limsup) < 1e-8

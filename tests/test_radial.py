@@ -38,14 +38,11 @@ def manufactured_profile(grid):
 
 def test_grid_geometry():
     g = RadialGrid(3, 100)
-    assert g.is_ball and g.size == 101
+    assert g.size == 101
     assert abs(g.h * (g.n + 1) - 1.0) < 1e-15
     assert g.r[0] == 0.0 and abs(g.r[-1] - (1.0 - g.h)) < 1e-14
     assert np.all(np.diff(g.r) > 0)
-    a = RadialGrid(3, 100, r_inner=0.5)
-    assert not a.is_ball and a.size == 100
-    assert abs(a.h * (a.n + 1) - 0.5) < 1e-15
-    assert a.json_header() == {"N": 3, "n": 100, "r_inner": 0.5, "r_outer": 1.0}
+    assert g.json_header() == {"N": 3, "n": 100, "r_inner": 0.0, "r_outer": 1.0}
     assert "ball-N3-n100" == g.key()
 
 
@@ -54,8 +51,6 @@ def test_grid_validation():
         RadialGrid(1, 100)
     with pytest.raises(ValueError):
         RadialGrid(3, 2)
-    with pytest.raises(ValueError):
-        RadialGrid(3, 100, r_inner=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -96,13 +91,6 @@ def test_laplacian_quartic_second_order():
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
 
 
-def test_laplacian_annulus_exact_on_r_squared():
-    g = RadialGrid(3, 150, r_inner=0.4)
-    L = laplacian_matrix(g)
-    out = L.apply(g.r**2, outer=1.0, inner=0.4**2)
-    assert np.max(np.abs(out - 6.0)) < 1e-8
-
-
 def test_operator_solve_round_trip():
     g = RadialGrid(3, 200)
     K = minus_laplacian(g)
@@ -130,13 +118,6 @@ def test_integrate_r_squared_dim_four():
     val = integrate_radial(g.r**2, g, outer=1.0)
     # omega_3 * int_0^1 r^5 dr = 2 pi^2 / 6
     assert abs(val - math.pi**2 / 3.0) < 1e-10
-
-
-def test_integrate_annulus():
-    a = 0.5
-    g = RadialGrid(3, 512, r_inner=a)
-    val = integrate_radial(np.ones(g.size), g, outer=1.0, inner=1.0)
-    assert abs(val - 4.0 * math.pi / 3.0 * (1 - a**3)) < 1e-10
 
 
 def test_volume_weights_sum():
