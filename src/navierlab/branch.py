@@ -50,6 +50,9 @@ MIN_STEP_FACTOR = 1.0 / 1024.0  # smallest one before continuation gives up
 FOLD_REFINE_FACTOR = 64.0  # fold bracket width target: amplitude_step / this
 # touchdown margin: iterates of the singular family keep max(u) < 1 - MEMS_GUARD
 MEMS_GUARD = 1e-6
+# loosest Newton tolerance a run may ask for: the discretization error the
+# test suite measures between n = 1024 and n = 2048
+MAX_NEWTON_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -59,16 +62,18 @@ class SolverConfig:
     ``newton_tol`` bounds both the residual max-norm relative to the natural
     row scale of the system (an absolute max-norm of 1e-10 sits below the
     1/h^2 rounding noise on fine grids) and the relative size of the last
-    applied Newton update.  ``amplitude_step`` is the initial continuation
-    step in the amplitude m.
+    applied Newton update, and may be at most MAX_NEWTON_TOL.
+    ``amplitude_step`` is the initial continuation step in the amplitude m.
     """
 
     newton_tol: float = 1e-10
     amplitude_step: float = 0.05
 
     def __post_init__(self):
-        if not (self.newton_tol > 0 and self.amplitude_step > 0):
-            raise ValueError("invalid solver configuration")
+        if not 0.0 < self.newton_tol <= MAX_NEWTON_TOL:
+            raise ValueError(f"newton_tol must lie in (0, {MAX_NEWTON_TOL:g}]")
+        if not 0.0 < self.amplitude_step < np.inf:
+            raise ValueError("amplitude_step must be positive and finite")
 
 
 @dataclass

@@ -11,8 +11,9 @@ the config schema.
 branch, verify and every sweep cell run through one cell runner, and one
 failure table (``_status`` and ``_EXIT``) gives every outcome its status and
 exit code: 0 success, 2 usage/config error or estimates not applicable,
-3 inconclusive classification, 4 compute failure (a partial branch is kept
-and flagged).
+3 inconclusive (a bootstrap classification, or a branch whose sampled
+lambda maximum sits at one of its ends, so no fold was seen), 4 compute
+failure (a partial branch is kept and flagged).
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ _EXIT = {
     "ok": EXIT_OK,
     "not-applicable": EXIT_USAGE,
     "error": EXIT_USAGE,
+    "no-fold": EXIT_INCONCLUSIVE,
     "partial": EXIT_COMPUTE,
     "compute-failure": EXIT_COMPUTE,
 }
@@ -88,7 +90,8 @@ def _status(exc: BaseException) -> str:
 def _fail(status: str, message: str) -> int:
     """Report one failure on stderr and return its exit code."""
     code = _EXIT[status]
-    print(f"{'compute failure' if code == EXIT_COMPUTE else 'error'}: {message}", file=sys.stderr)
+    prefix = {EXIT_INCONCLUSIVE: "inconclusive", EXIT_COMPUTE: "compute failure"}
+    print(f"{prefix.get(code, 'error')}: {message}", file=sys.stderr)
     return code
 
 
@@ -335,7 +338,7 @@ def _write_verify_artifacts(cfg: RunConfig, family, branch: Branch, status: str,
         "config": cfg.as_dict(),
     }
     if status != "ok":
-        verdict["status"] = status  # partial or not-applicable; absent means ok
+        verdict["status"] = status  # partial, not-applicable or no-fold; absent means ok
     _write_atomic(os.path.join(cfg.out, f"verify_{tag}.json"), _json_text(verdict))
     return verdict
 
@@ -364,10 +367,13 @@ def _run_cell(cfg: RunConfig, command: str) -> dict:
             branch = exc.partial
             cell.update(status="partial", error=str(exc))
         cell.update(lambda_star=branch.lambda_star_estimate, fold_detected=branch.fold_detected)
+        if command == "verify" and cell["status"] == "ok" and not branch.pre_fold_points:
+            cell.update(status="not-applicable",
+                        error="no pre-fold point, so no estimate was evaluated")
+        if cell["status"] == "ok" and not branch.fold_detected:
+            cell.update(status="no-fold", error="the sampled lambda maximum is at an end of "
+                        "the branch, so lambda_star is only a sampled value")
         if command == "verify":
-            if cell["status"] == "ok" and not branch.pre_fold_points:
-                cell.update(status="not-applicable",
-                            error="no pre-fold point, so no estimate was evaluated")
             cell["summary"] = _write_verify_artifacts(cfg, family, branch, cell["status"], m_max)
         else:
             cell["summary"] = _write_branch_artifacts(cfg, family, branch, cell["status"], m_max)

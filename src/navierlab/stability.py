@@ -12,15 +12,15 @@ operator reduces to the plain matrix B = K^2 - lambda F', with the second
 boundary condition emerging naturally because the form never samples
 Delta psi at the boundary node.
 
-The smallest eigenvalue is computed by shifted inverse power iteration on
-the pentadiagonal B, with Rayleigh quotients evaluated in the W inner
-product as ||K psi||_W^2 - lambda <f'(u) psi, psi>_W — the factored form
-avoids the cancellation that makes a direct K^2 psi product lose half the
-significant digits.  A zero shift homes in on the eigenvalue of smallest
-magnitude, which deep past the fold is no longer the leftmost; a coarse
-banded bisection therefore checks for modes strictly below the candidate
-and, when one exists, the shift is re-aimed just left of it (precision
-always comes from the factored quotient, never from the bisection).
+The smallest eigenvalue takes one path at every point.  One banded
+bisection (``eig_banded`` on the symmetrized bands of B) locates the
+leftmost eigenvalue to about eps times the norm of B.  The shift is set
+just left of it, so B - shift is positive definite and shifted inverse
+power iteration can only converge to that mode, in a few steps.  The
+Rayleigh quotients are evaluated in the W inner product as
+||K psi||_W^2 - lambda <f'(u) psi, psi>_W, and precision always comes from
+this factored quotient, never from the bisection: a direct K^2 psi product
+would lose half the significant digits to cancellation.
 
 At the zero solution B = K^2, so the reported value equals (to rounding)
 the square of the ground eigenvalue of the discrete Dirichlet Laplacian
@@ -50,9 +50,6 @@ EIG_TOL = 1e-10
 MAX_INVERSE_ITERS = 400
 # iterate change that ends inverse iteration; see _inverse_iteration
 _VEC_TOL = max(1e-8, np.sqrt(EIG_TOL) * 1e-3)
-_NOT_STABILIZED = (
-    f"eigenvalue failed to stabilize to {EIG_TOL:g} within {MAX_INVERSE_ITERS} steps"
-)
 
 
 @dataclass
@@ -60,7 +57,6 @@ class StabilityReport:
     mu1: float
     eigenfunction: np.ndarray
     iterations: int
-    converged: bool
 
 
 class EigenIterationError(RuntimeError):
@@ -105,25 +101,18 @@ def _symmetrized_upper_bands(ab, W):
     return upper, float(np.max(colsum))
 
 
-def _eigenvalues_below(upper, cutoff):
-    """Eigenvalues of the symmetric banded T below ``cutoff`` (bisection);
-    accurate only to ~eps * ||T||, which suffices to locate modes."""
-    return eig_banded(
-        upper, lower=False, select="v", select_range=(-1e308, cutoff), eigvals_only=True
-    )
-
-
 def _inverse_iteration(ab_shifted, apply_B, W, x0):
     """Fixed-shift inverse power iteration with W-Rayleigh quotients.
 
-    Convergence is declared on the W-norm change of the (sign-aligned)
-    iterate: a vector change below _VEC_TOL = 1e-8 pins the Rayleigh
-    quotient to a relative accuracy of order 1e-16, comfortably beyond
-    EIG_TOL, and — unlike a relative test on the eigenvalue itself — stays
-    meaningful when the eigenvalue crosses zero at a fold.
+    Returns the quotient, the W-normalized iterate and the number of
+    solves.  Convergence is declared on the W-norm change of the
+    (sign-aligned) iterate: a vector change below _VEC_TOL = 1e-8 pins the
+    Rayleigh quotient to a relative accuracy of order 1e-16, comfortably
+    beyond EIG_TOL, and — unlike a relative test on the eigenvalue itself —
+    stays meaningful when the eigenvalue crosses zero at a fold.  Raises
+    EigenIterationError after MAX_INVERSE_ITERS solves.
     """
     x = x0 / np.sqrt(x0 @ (W * x0))
-    mu = None
     for it in range(1, MAX_INVERSE_ITERS + 1):
         y = solve_banded((2, 2), ab_shifted, x, check_finite=False)
         if float(y @ (W * x)) < 0.0:
@@ -132,10 +121,10 @@ def _inverse_iteration(ab_shifted, apply_B, W, x0):
         dx = float(np.sqrt((y - x) @ (W * (y - x))))
         x = y
         if dx <= _VEC_TOL:
-            mu = apply_B(y)
-            return float(mu), x, it, True
-    mu = apply_B(x)
-    return float(mu), x, MAX_INVERSE_ITERS, False
+            return float(apply_B(x)), x, it
+    raise EigenIterationError(
+        f"eigenvalue failed to stabilize to {EIG_TOL:g} within {MAX_INVERSE_ITERS} steps"
+    )
 
 
 def smallest_stability_eigenvalue(
@@ -154,55 +143,29 @@ def smallest_stability_eigenvalue(
     fpu = np.asarray(family.fp(point.u), dtype=float) if lam != 0.0 else np.zeros(grid.size)
     ab = _tridiag_square_bands(K)
     ab[2, :] -= lam * fpu
-    D = float(np.max(np.abs(K.diag)))
 
     def apply_B(y):
         # <y, (K^2 - lam f') y>_W via ||Ky||_W^2: K^2 y would cancel badly
         Ky = K.apply(y)
-        quad_term = float(Ky @ (W * Ky))
-        mass_term = float(y @ (W * fpu * y)) if lam != 0.0 else 0.0
-        return quad_term - lam * mass_term
+        return float(Ky @ (W * Ky)) - lam * float(y @ (W * fpu * y))
 
-    x0 = _start_vector(grid)
-
-    def iterate_at(sigma):
-        ab_shifted = ab.copy()
-        for _ in range(3):
-            ab_shifted[2, :] = ab[2, :] - sigma
-            try:
-                return _inverse_iteration(ab_shifted, apply_B, W, x0)
-            except np.linalg.LinAlgError:
-                # singular factorization exactly at the shift: nudge and retry
-                sigma = sigma + 1e-8 * max(1.0, abs(sigma), D * np.finfo(float).eps)
-        raise EigenIterationError("factorization singular at the shifted operator")
-
-    mu, vec, iters, ok = iterate_at(0.0)
-    total_iters = iters
-    # the zero-shift iteration targets the eigenvalue of smallest magnitude,
-    # which past the fold need not be the leftmost (and near |mu1| = |mu2| it
-    # stalls outright).  A coarse banded bisection locates any mode strictly
-    # below the candidate; if one exists, re-aim the shift just left of it.
+    # the bisection is accurate to ~eps * ||T||; a shift just left of its
+    # leftmost eigenvalue makes B - shift positive definite
     upper, t_norm = _symmetrized_upper_bands(ab, W)
-    eps_t = np.finfo(float).eps * t_norm
-    for _ in range(3):
-        margin = max(5.0 * eps_t, 1e-6 * (1.0 + abs(mu)))
-        below = _eigenvalues_below(upper, mu - margin)
-        if ok and below.size == 0:
-            return StabilityReport(
-                mu1=float(mu), eigenfunction=vec, iterations=total_iters, converged=True
-            )
-        target = float(below.min()) if below.size else mu
-        sigma = target - max(2.0 * eps_t, 1e-6 * (1.0 + abs(target)))
-        mu, vec, iters, ok = iterate_at(sigma)
-        total_iters += iters
-    raise EigenIterationError(_NOT_STABILIZED)
+    target = float(eig_banded(upper, lower=False, select="i", select_range=(0, 0),
+                              eigvals_only=True)[0])
+    sigma = target - max(2.0 * np.finfo(float).eps * t_norm, 1e-6 * (1.0 + abs(target)))
+    ab[2, :] -= sigma
+    mu, vec, iters = _inverse_iteration(ab, apply_B, W, _start_vector(grid))
+    return StabilityReport(mu1=mu, eigenfunction=vec, iterations=iters)
 
 
 def dirichlet_laplacian_ground_eigenvalue(grid: RadialGrid) -> float:
     """Ground eigenvalue of -Delta_h with Dirichlet data, same stencil.
 
     Used as the oracle for the spectral identity: at the zero solution the
-    stability eigenvalue equals the square of this value.
+    stability eigenvalue equals the square of this value.  Zero-shift
+    inverse iteration, independent of the bisection.
     """
     K = minus_laplacian(grid)
     W = volume_weights(grid)
@@ -215,7 +178,4 @@ def dirichlet_laplacian_ground_eigenvalue(grid: RadialGrid) -> float:
     def apply_B(y):
         return float(y @ (W * K.apply(y)))
 
-    mu, _, iters, ok = _inverse_iteration(ab, apply_B, W, _start_vector(grid))
-    if not ok:
-        raise EigenIterationError(_NOT_STABILIZED)
-    return mu
+    return _inverse_iteration(ab, apply_B, W, _start_vector(grid))[0]

@@ -20,6 +20,11 @@ def run(capsys, *argv):
     return code, out
 
 
+def read(path, mode="r"):
+    with open(path, mode) as handle:
+        return handle.read()
+
+
 # ---------------------------------------------------------------------------
 # predict
 # ---------------------------------------------------------------------------
@@ -100,18 +105,20 @@ def test_bootstrap_bad_params(capsys):
 # ---------------------------------------------------------------------------
 
 SMALL = ["--n", "64", "--m-max", "0.4", "--amplitude-step", "0.1"]
+# the golden branch run: small, and through the fold
+FOLDED = ["--n", "64", "--m-max", "2.2", "--amplitude-step", "0.1"]
 
 
 def test_branch_writes_artifacts(tmp_path, capsys):
     out = str(tmp_path / "run")
-    code, stdout = run(capsys, "branch", "--family", "exp", "--N", "3", *SMALL, "--out", out)
+    code, stdout = run(capsys, "branch", "--family", "exp", "--N", "3", *FOLDED, "--out", out)
     assert code == 0
     csv_path = os.path.join(out, "branch_exp_N3.csv")
     json_path = os.path.join(out, "branch_exp_N3.json")
     assert os.path.exists(csv_path) and os.path.exists(json_path)
-    header = open(csv_path).readline().strip()
+    header = read(csv_path).splitlines()[0]
     assert header == "m,lambda,u_center,max_u,mu1,residual_norm,newton_iters"
-    summary = json.loads(open(json_path).read())
+    summary = json.loads(read(json_path))
     assert summary["status"] == "ok"
     assert summary["config"]["n"] == 64  # resolved config embedded
     assert json.loads(stdout)["family"] == "exp"
@@ -123,22 +130,22 @@ def test_branch_deterministic(tmp_path, capsys):
     args = ["branch", "--family", "exp", "--N", "3", *SMALL, "--out", out]
     run(capsys, *args)
     first = {
-        name: open(os.path.join(out, name), "rb").read()
+        name: read(os.path.join(out, name), "rb")
         for name in ("branch_exp_N3.csv", "branch_exp_N3.json")
     }
     run(capsys, *args)
     for name, payload in first.items():
-        assert open(os.path.join(out, name), "rb").read() == payload, name
+        assert read(os.path.join(out, name), "rb") == payload, name
 
 
 def test_branch_dump_fields(tmp_path, capsys):
     out = str(tmp_path / "fields")
     code, _ = run(
-        capsys, "branch", "--family", "exp", "--N", "3", *SMALL, "--out", out, "--dump-fields"
+        capsys, "branch", "--family", "exp", "--N", "3", *FOLDED, "--out", out, "--dump-fields"
     )
     assert code == 0
     assert os.path.exists(os.path.join(out, "field_exp_N3_0000.csv"))
-    grid_header = json.loads(open(os.path.join(out, "grid_exp_N3.json")).read())
+    grid_header = json.loads(read(os.path.join(out, "grid_exp_N3.json")))
     assert grid_header == {"N": 3, "n": 64, "r_inner": 0.0, "r_outer": 1.0}
 
 
@@ -149,10 +156,10 @@ def test_verify_writes_reports(tmp_path, capsys):
         "--m-max", "2.2", "--amplitude-step", "0.1", "--out", out,
     )
     assert code == 0
-    est = open(os.path.join(out, "estimates_exp_N3.csv")).read().splitlines()
+    est = read(os.path.join(out, "estimates_exp_N3.csv")).splitlines()
     assert est[0] == "estimate,m,lambda,lhs,rhs,margin,satisfied"
     assert all(line.endswith("true") for line in est[1:])
-    verdict = json.loads(open(os.path.join(out, "verify_exp_N3.json")).read())
+    verdict = json.loads(read(os.path.join(out, "verify_exp_N3.json")))
     assert verdict["pointwise_all_satisfied"] is True
     assert verdict["fold_detected"] is True
     assert "f-squared" in verdict["suprema"]
@@ -187,7 +194,7 @@ def test_summary_records_effective_m_max(command, artifact, tmp_path, capsys):
     code, _ = run(capsys, command, "--family", "mems:p=2", "--N", "3", "--n", "64",
                   "--m-max", "5", "--out", out)
     assert code == 0
-    summary = json.loads(open(os.path.join(out, artifact)).read())
+    summary = json.loads(read(os.path.join(out, artifact)))
     assert summary["config"]["m_max"] == 5.0
     assert summary["m_max_effective"] == 1.0 - 1e-4
 
@@ -205,21 +212,38 @@ def test_verify_without_pre_fold_point_is_not_applicable(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
-    verdict = json.loads(open(os.path.join(out, "verify_mems-p0_557877_N3.json")).read())
+    verdict = json.loads(read(os.path.join(out, "verify_mems-p0_557877_N3.json")))
     assert verdict["pre_fold_points"] == 0
     assert verdict["pointwise_all_satisfied"] is False
     assert verdict["status"] == "not-applicable"
-    estimates = open(os.path.join(out, "estimates_mems-p0_557877_N3.csv")).read()
+    estimates = read(os.path.join(out, "estimates_mems-p0_557877_N3.csv"))
     assert estimates.splitlines() == ["estimate,m,lambda,lhs,rhs,margin,satisfied"]
 
 
 def test_sweep_cell_without_pre_fold_point_fails_estimates(tmp_path, capsys):
+    # the lambda maximum is the first point, so no fold was seen either
     code, stdout = run(capsys, "sweep", "--families", "mems:p=0.557877", "--dims", "3",
                        *NO_PRE_FOLD, "--out", str(tmp_path / "nofold"))
-    assert code == 0
+    assert code == 3
     row = dict(zip(*[line.split(",") for line in stdout.splitlines()]))
-    assert row["status"] == "ok"
+    assert row["status"] == "no-fold"
     assert row["estimates_ok"] == "false"
+
+
+@pytest.mark.parametrize("command, artifact", [("branch", "branch_exp_N3.json"),
+                                               ("verify", "verify_exp_N3.json")])
+def test_run_without_fold_is_inconclusive(command, artifact, tmp_path, capsys):
+    # lambda still rises at m_max, so the sampled maximum is the last point
+    out = str(tmp_path / "rising")
+    code = main([command, "--family", "exp", "--N", "3", *SMALL, "--out", out])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("inconclusive:")
+    summary = json.loads(read(os.path.join(out, artifact)))
+    assert summary["status"] == "no-fold"
+    assert summary["fold_detected"] is False
 
 
 @pytest.mark.parametrize("command, artifact", [("branch", "branch_exp_N3.json"),
@@ -230,7 +254,7 @@ def test_partial_branch_is_kept_and_flagged(command, artifact, tmp_path, capsys)
     code, _ = run(capsys, command, "--family", "exp", "--N", "3", "--n", "64",
                   "--m-max", "200", "--amplitude-step", "1", "--out", out)
     assert code == 4
-    summary = json.loads(open(os.path.join(out, artifact)).read())
+    summary = json.loads(read(os.path.join(out, artifact)))
     assert summary["status"] == "partial"
     assert summary["fold_detected"] is True
 
@@ -242,14 +266,15 @@ def test_partial_branch_is_kept_and_flagged(command, artifact, tmp_path, capsys)
 
 def test_config_file_and_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# small smoke run\nfamily = exp\nN = 3\nn = 64\nm_max = 0.3\namplitude_step = 0.1\n")
+    cfg.write_text("# small folding run\nfamily = exp\nN = 3\nn = 64\nm_max = 2.2\n"
+                   "amplitude_step = 0.1\n")
     out = str(tmp_path / "cfgout")
     code, stdout = run(capsys, "branch", "--config", str(cfg), "--out", out)
     assert code == 0
-    assert json.loads(stdout)["config"]["m_max"] == 0.3
+    assert json.loads(stdout)["config"]["m_max"] == 2.2
     # flags take precedence over the file
-    code, stdout = run(capsys, "branch", "--config", str(cfg), "--out", out, "--m-max", "0.2")
-    assert json.loads(stdout)["config"]["m_max"] == 0.2
+    code, stdout = run(capsys, "branch", "--config", str(cfg), "--out", out, "--m-max", "2.1")
+    assert json.loads(stdout)["config"]["m_max"] == 2.1
 
 
 def test_config_unknown_key(tmp_path, capsys):
@@ -284,11 +309,10 @@ def test_invalid_grid_is_usage_error(capsys):
 def test_sweep_aggregate(tmp_path, capsys):
     out = str(tmp_path / "sweep")
     code, stdout = run(
-        capsys, "sweep", "--families", "exp,power:p=2", "--dims", "3..4",
-        "--n", "64", "--m-max", "0.4", "--amplitude-step", "0.1", "--out", out,
+        capsys, "sweep", "--families", "exp,power:p=2", "--dims", "3..4", *FOLDED, "--out", out,
     )
     assert code == 0
-    lines = open(os.path.join(out, "sweep.csv")).read().splitlines()
+    lines = read(os.path.join(out, "sweep.csv")).splitlines()
     assert lines[0] == "family,N,status,lambda_star,fold_detected,verdict,rule,estimates_ok"
     assert len(lines) == 5  # 2 families x 2 dims
     cells = [line.split(",") for line in lines[1:]]
@@ -306,8 +330,8 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
             "--m-max", "0.3", "--amplitude-step", "0.1"]
     run(capsys, *args, "--out", serial)
     run(capsys, *args, "--out", parallel, "--jobs", "2")
-    a = open(os.path.join(serial, "sweep.csv"), "rb").read()
-    b = open(os.path.join(parallel, "sweep.csv"), "rb").read()
+    a = read(os.path.join(serial, "sweep.csv"), "rb")
+    b = read(os.path.join(parallel, "sweep.csv"), "rb")
     assert a == b
 
 
@@ -319,7 +343,7 @@ def test_sweep_requires_lists(capsys):
 
 def test_sweep_lists_from_config_file(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("families = exp, power:p=2\ndims = 3..4\nn = 64\nm_max = 0.3\n"
+    cfg.write_text("families = exp, power:p=2\ndims = 3..4\nn = 64\nm_max = 2.2\n"
                    "amplitude_step = 0.1\n")
     out = str(tmp_path / "cfgsweep")
     code, stdout = run(capsys, "sweep", "--config", str(cfg), "--out", out)
@@ -327,7 +351,7 @@ def test_sweep_lists_from_config_file(tmp_path, capsys):
     cells = [line.split(",")[:3] for line in stdout.splitlines()[1:]]
     assert cells == [["exp", "3", "ok"], ["exp", "4", "ok"],
                      ["power:p=2", "3", "ok"], ["power:p=2", "4", "ok"]]
-    assert json.loads(open(os.path.join(out, "branch_exp_N4.json")).read())["config"]["n"] == 64
+    assert json.loads(read(os.path.join(out, "branch_exp_N4.json")))["config"]["n"] == 64
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +374,9 @@ FAILING = {
                                  "--beta", "0.5", "--out", "{file}/b.json"],
     "branch-runaway-steps": ["branch", "--family", "exp", "--m-max", "1000",
                              "--amplitude-step", "1e-4"],
+    "branch-tol-inf": ["branch", "--family", "exp", "--tol", "inf"],
+    "branch-tol-loose": ["branch", "--family", "exp", "--tol", "1e-3"],
+    "branch-step-inf": ["branch", "--family", "exp", "--amplitude-step", "inf"],
 }
 
 
@@ -369,7 +396,7 @@ def test_failure_exit_codes(case, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith(("error:", "compute failure:")), err
     assert "Traceback" not in err
     if case == "sweep-mems-p1":
-        rows = list(csv.DictReader(open(tmp_path / "run" / "sweep.csv")))
+        rows = list(csv.DictReader(read(tmp_path / "run" / "sweep.csv").splitlines()))
         assert [(r["family"], r["status"]) for r in rows] == [
             ("exp", "ok"), ("mems:p=1", "not-applicable")]
         assert math.isfinite(float(rows[1]["lambda_star"]))
@@ -380,6 +407,10 @@ FAMILY_SPECS = st.one_of(
     st.sampled_from(["exp", "quintic", "power:p=x"]),
     st.builds("{}:p={:g}".format, st.sampled_from(["power", "mems"]), st.floats(-0.5, 4.0)),
 )
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
 
 
 # one value at a time pushed outside its valid range
@@ -418,7 +449,7 @@ def test_any_input_ends_with_documented_exit(command, families, dims, n, m_max, 
             for name in names:
                 with open(os.path.join(root, name)) as handle:
                     if name.endswith(".json"):
-                        json.load(handle)
+                        json.load(handle, parse_constant=_reject_constant)
                     else:
                         assert name.endswith(".csv"), name
                         rows = list(csv.reader(handle))

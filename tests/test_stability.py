@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 
 from navierlab.branch import continue_branch, trivial_point
-from navierlab.families import exponential, mems
+from navierlab.families import exponential, mems, power
 from navierlab.radial import RadialGrid, minus_laplacian, volume_weights
 from navierlab.stability import (
     dirichlet_laplacian_ground_eigenvalue,
     smallest_stability_eigenvalue,
 )
+
+# the shift sits just left of mu1, far closer than the next mode, so inverse
+# iteration settles in a few solves
+MAX_SHIFTED_ITERS = 8
 
 
 def bessel_j0(x):
@@ -95,7 +99,7 @@ def test_report_invariants(exp_branch):
     Kp = K.apply(psi)
     rayleigh = float(Kp @ (W * Kp)) - pt.lam * float(psi @ (W * fam.fp(pt.u) * psi))
     assert abs(rayleigh - rep.mu1) <= 1e-8 * max(abs(rep.mu1), 1.0)
-    assert rep.converged
+    assert rep.iterations <= MAX_SHIFTED_ITERS
 
 
 def test_rayleigh_lower_bound(exp_branch):
@@ -159,6 +163,39 @@ def test_mems_pre_fold_semistable():
     mu0 = smallest_stability_eigenvalue(fam, trivial_point(grid)).mu1
     for pt in branch.pre_fold_points:
         assert smallest_stability_eigenvalue(fam, pt).mu1 >= -1e-6 * abs(mu0)
+
+
+def dense_leftmost_mode(fam, pt):
+    """The leftmost mode of T = W^(1/2) B W^(-1/2), B = K^2 - lambda F', by a
+    dense solver: its eigenvalue, accurate only to ~eps * ||T||, the factored
+    W-Rayleigh quotient of its eigenvector, accurate to rounding, and ||T||_1."""
+    K = minus_laplacian(pt.grid)
+    W = volume_weights(pt.grid)
+    s = np.sqrt(W)
+    fpu = fam.fp(pt.u)
+    Kd = np.column_stack([K.apply(e) for e in np.eye(pt.grid.size)])
+    T = (s[:, None] * (Kd @ Kd - pt.lam * np.diag(fpu))) / s[None, :]
+    T = 0.5 * (T + T.T)
+    values, vectors = np.linalg.eigh(T)
+    psi = vectors[:, 0] / s
+    psi /= math.sqrt(float(psi @ (W * psi)))
+    Kp = K.apply(psi)
+    quotient = float(Kp @ (W * Kp)) - pt.lam * float(psi @ (W * fpu * psi))
+    return float(values[0]), quotient, float(np.max(np.sum(np.abs(T), axis=0)))
+
+
+@pytest.mark.parametrize("fam, N, m_max", [(exponential(), 3, 6.0), (power(2.0), 4, 3.0),
+                                           (mems(2.0), 4, 0.9)])
+def test_leftmost_mode_through_the_fold(fam, N, m_max):
+    # every point, on both sides of the fold, against the dense spectrum
+    branch = continue_branch(fam, RadialGrid(N, 64), m_max)
+    assert branch.fold_detected
+    for pt in branch.points:
+        rep = smallest_stability_eigenvalue(fam, pt)
+        value, quotient, t_norm = dense_leftmost_mode(fam, pt)
+        assert abs(rep.mu1 - value) <= np.finfo(float).eps * t_norm
+        assert abs(rep.mu1 - quotient) <= 1e-8 * max(abs(rep.mu1), 1.0)
+        assert rep.iterations <= MAX_SHIFTED_ITERS
 
 
 def test_deep_post_fold_leftmost_eigenvalue():
