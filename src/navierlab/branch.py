@@ -147,16 +147,19 @@ def _touchdown_bound(family: NonlinearityFamily) -> float | None:
 
 
 def _residual(K: BandedOperator, family, u, v, lam, m):
-    """Residual blocks, f(u), and the rowwise-scaled max-norm.
+    """Residual blocks, f(u), and the rowwise-scaled max-norm (inf, with no
+    blocks, where f(u) is not finite).
 
     Each block is measured against its own row magnitude: the two operator
     rows against the stencil scale (an absolute max-norm of 1e-10 sits
     below 1/h^2 rounding noise on fine grids), the amplitude constraint
     against max(1, m) so it is enforced at its natural order-one scale.
     """
+    fu = family.f(u)
+    if not np.all(np.isfinite(fu)):
+        return None, None, None, fu, np.inf  # f overflowed: no residual to measure
     Ku = K.apply(u)
     Kv = K.apply(v)
-    fu = family.f(u)
     R1 = Ku - v
     R2 = Kv - lam * fu
     R3 = u[0] - m
@@ -187,6 +190,8 @@ def _newton(K, family, grid, m, u, v, lam, config) -> BranchPoint:
     rn = None
     for it in range(MAX_NEWTON + 1):
         R1, R2, R3, fu, rn = _residual(K, family, u, v, lam, m)
+        if not np.isfinite(rn):  # only a starting iterate can get here
+            raise NewtonDivergedError(f"no finite residual at the start at m={m:g}")
         if rn <= config.newton_tol and update_rel is not None and update_rel <= config.newton_tol:
             return BranchPoint(m, float(lam), u, v, rn, it, grid)
         if it == MAX_NEWTON:
@@ -249,7 +254,13 @@ def _initial_guess(K, family, grid, m):
     u = m * (1.0 - grid.r**2)
     v = K.apply(u)
     fu = family.f(u)
-    lam = float(K.apply(v) @ fu) / float(fu @ fu)
+    if not np.all(np.isfinite(fu)):
+        raise NewtonDivergedError(f"f(u) overflows at the initial guess at m={m:g}")
+    # the fit against fu scaled by a power of two cannot overflow, and gives
+    # the same bits as the unscaled one wherever that one does not overflow
+    e = int(np.frexp(np.max(np.abs(fu)))[1])
+    g = np.ldexp(fu, -e)
+    lam = float(np.ldexp(float(K.apply(v) @ g) / float(g @ g), -e))
     return u, v, max(lam, 1e-8)
 
 
@@ -325,19 +336,19 @@ def continue_branch(
     step = min(step0, m_max)
     m_target = step
     while True:
-        if prev is None:
-            u, v, lam = _initial_guess(K, family, grid, m_target)
-        elif prev2 is None:
-            u, v, lam = prev.u.copy(), prev.v.copy(), prev.lam
-        else:
-            # secant predictor through the last two points
-            w = (m_target - prev.m) / (prev.m - prev2.m)
-            u = prev.u + w * (prev.u - prev2.u)
-            v = prev.v + w * (prev.v - prev2.v)
-            lam = prev.lam + w * (prev.lam - prev2.lam)
-            if guard is not None and float(np.max(u)) >= guard:
-                u, v, lam = prev.u.copy(), prev.v.copy(), prev.lam
         try:
+            if prev is None:
+                u, v, lam = _initial_guess(K, family, grid, m_target)
+            elif prev2 is None:
+                u, v, lam = prev.u.copy(), prev.v.copy(), prev.lam
+            else:
+                # secant predictor through the last two points
+                w = (m_target - prev.m) / (prev.m - prev2.m)
+                u = prev.u + w * (prev.u - prev2.u)
+                v = prev.v + w * (prev.v - prev2.v)
+                lam = prev.lam + w * (prev.lam - prev2.lam)
+                if guard is not None and float(np.max(u)) >= guard:
+                    u, v, lam = prev.u.copy(), prev.v.copy(), prev.lam
             pt = _newton(K, family, grid, m_target, u, v, lam, config)
         except (NewtonDivergedError, TouchdownError) as exc:
             step *= 0.5

@@ -260,11 +260,12 @@ _SWEEP_COLUMNS = ("family", "N", "status", "lambda_star", "fold_detected", "verd
 def _write_branch_artifacts(cfg: RunConfig, family, branch: Branch, status: str,
                             m_max: float) -> dict:
     tag = f"{_family_tag(cfg.family)}_N{cfg.dim_N}"
-    rows = (
-        (pt.m, pt.lam, pt.u[0], max(pt.u), smallest_stability_eigenvalue(family, pt).mu1,
-         pt.residual_norm, pt.newton_iters)
-        for pt in branch.points
-    )
+    rows = []
+    report = None  # each point's report aims the next point's shift
+    for pt in branch.points:
+        report = smallest_stability_eigenvalue(family, pt, report)
+        rows.append((pt.m, pt.lam, pt.u[0], max(pt.u), report.mu1, pt.residual_norm,
+                     pt.newton_iters))
     _write_atomic(os.path.join(cfg.out, f"branch_{tag}.csv"), _csv_text(_BRANCH_HEADER, rows))
     summary = {
         "family": branch.family_spec or cfg.family,

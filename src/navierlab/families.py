@@ -53,6 +53,15 @@ class FamilyDomainError(ValueError):
 
 
 _KINDS = ("exp", "power", "mems")
+# largest argument whose exponential is a finite double
+_EXP_ARG_MAX = float(np.log(np.finfo(float).max))
+
+
+def _exp(t: np.ndarray):
+    """e^t, +inf where that exceeds the double range (with no overflow warning)."""
+    if not np.any(t > _EXP_ARG_MAX):
+        return np.exp(t)
+    return np.where(t > _EXP_ARG_MAX, np.inf, np.exp(np.minimum(t, _EXP_ARG_MAX)))
 
 
 @dataclass(frozen=True)
@@ -109,7 +118,7 @@ class NonlinearityFamily:
         t = np.asarray(t, dtype=float)
         self._check_domain(t)
         if self.kind == "exp":
-            return np.exp(t)
+            return _exp(t)
         if self.kind == "power":
             return (1.0 + t) ** self.p
         return (1.0 - t) ** (-self.p)
@@ -118,7 +127,7 @@ class NonlinearityFamily:
         t = np.asarray(t, dtype=float)
         self._check_domain(t)
         if self.kind == "exp":
-            return np.exp(t)
+            return _exp(t)
         if self.kind == "power":
             return self.p * (1.0 + t) ** (self.p - 1.0)
         return self.p * (1.0 - t) ** (-(self.p + 1.0))
@@ -127,7 +136,7 @@ class NonlinearityFamily:
         t = np.asarray(t, dtype=float)
         self._check_domain(t)
         if self.kind == "exp":
-            return np.exp(t)
+            return _exp(t)
         if self.kind == "power":
             return self.p * (self.p - 1.0) * (1.0 + t) ** (self.p - 2.0)
         return self.p * (self.p + 1.0) * (1.0 - t) ** (-(self.p + 2.0))

@@ -402,6 +402,18 @@ def test_failure_exit_codes(case, tmp_path, capsys):
         assert math.isfinite(float(rows[1]["lambda_star"]))
 
 
+@pytest.mark.parametrize("amplitude, code, prefix", [("700", 3, "inconclusive:"),
+                                                     ("800", 4, "compute failure:")])
+def test_large_first_amplitude_warns_nothing(amplitude, code, prefix, tmp_path, capsys):
+    # at m = 700 the initial-guess fit once overflowed f(u) @ f(u), at m = 800
+    # e^u itself; the suite turns any numpy warning into an error
+    argv = ["branch", "--family", "exp", "--N", "3", "--n", "64", "--m-max", amplitude,
+            "--amplitude-step", amplitude, "--out", str(tmp_path / "run")]
+    assert main(argv) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), lines
+
+
 # family specs, valid and not, with exponents on both sides of p = 1
 FAMILY_SPECS = st.one_of(
     st.sampled_from(["exp", "quintic", "power:p=x"]),

@@ -8,8 +8,10 @@ import pytest
 
 from navierlab.branch import continue_branch, trivial_point
 from navierlab.families import exponential, mems, power
+from navierlab import stability
 from navierlab.radial import RadialGrid, minus_laplacian, volume_weights
 from navierlab.stability import (
+    StabilityReport,
     dirichlet_laplacian_ground_eigenvalue,
     smallest_stability_eigenvalue,
 )
@@ -196,6 +198,56 @@ def test_leftmost_mode_through_the_fold(fam, N, m_max):
         assert abs(rep.mu1 - value) <= np.finfo(float).eps * t_norm
         assert abs(rep.mu1 - quotient) <= 1e-8 * max(abs(rep.mu1), 1.0)
         assert rep.iterations <= MAX_SHIFTED_ITERS
+
+
+CHAINS = [(exponential(), 3, 6.0), (power(2.0), 4, 3.0), (mems(2.0), 4, 0.9)]
+
+
+@pytest.mark.parametrize("fam, N, m_max", CHAINS)
+def test_chained_certificate_through_the_fold(fam, N, m_max, monkeypatch):
+    # each report aims the next point's shift; every point still against the
+    # dense spectrum, and the bisection runs only for the first point and
+    # after an exhausted bracket search
+    calls = {"eig_banded": 0, "exhausted": 0}
+    eig_banded, bracket = stability.eig_banded, stability._bracket
+
+    def counting_eig_banded(*args, **kwargs):
+        calls["eig_banded"] += 1
+        return eig_banded(*args, **kwargs)
+
+    def counting_bracket(*args):
+        chol = bracket(*args)
+        calls["exhausted"] += chol is None
+        return chol
+
+    monkeypatch.setattr(stability, "eig_banded", counting_eig_banded)
+    monkeypatch.setattr(stability, "_bracket", counting_bracket)
+    branch = continue_branch(fam, RadialGrid(N, 64), m_max)
+    assert branch.fold_detected
+    rep = None
+    for pt in branch.points:
+        rep = smallest_stability_eigenvalue(fam, pt, rep)
+        value, quotient, t_norm = dense_leftmost_mode(fam, pt)
+        assert abs(rep.mu1 - value) <= np.finfo(float).eps * t_norm
+        assert abs(rep.mu1 - quotient) <= 1e-8 * max(abs(rep.mu1), 1.0)
+        assert rep.iterations <= MAX_SHIFTED_ITERS
+    assert calls["eig_banded"] == 1 + calls["exhausted"]
+    assert calls["exhausted"] <= 1
+
+
+@pytest.mark.parametrize("fam, N, m_max", CHAINS)
+def test_adversarial_previous_report(fam, N, m_max):
+    # a previous report 1e4 off in either direction, with a random vector,
+    # still yields the leftmost mode in a few solves
+    branch = continue_branch(fam, RadialGrid(N, 64), m_max)
+    rng = np.random.default_rng(11)
+    for pt in branch.points[:: max(1, len(branch.points) // 6)]:
+        value, quotient, t_norm = dense_leftmost_mode(fam, pt)
+        for offset in (1e4, -1e4):
+            previous = StabilityReport(quotient + offset, rng.standard_normal(pt.grid.size), 0)
+            rep = smallest_stability_eigenvalue(fam, pt, previous)
+            assert abs(rep.mu1 - value) <= np.finfo(float).eps * t_norm
+            assert rep.iterations <= MAX_SHIFTED_ITERS
 
 
 def test_deep_post_fold_leftmost_eigenvalue():
