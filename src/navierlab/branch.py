@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .families import NonlinearityFamily
+from .families import FamilyDomainError, NonlinearityFamily
 from .radial import RadialGrid, BandedOperator, minus_laplacian
 
 __all__ = [
@@ -148,14 +148,17 @@ def _touchdown_bound(family: NonlinearityFamily) -> float | None:
 
 def _residual(K: BandedOperator, family, u, v, lam, m):
     """Residual blocks, f(u), and the rowwise-scaled max-norm (inf, with no
-    blocks, where f(u) is not finite).
+    blocks, where u leaves the family's domain or f(u) is not finite).
 
     Each block is measured against its own row magnitude: the two operator
     rows against the stencil scale (an absolute max-norm of 1e-10 sits
     below 1/h^2 rounding noise on fine grids), the amplitude constraint
     against max(1, m) so it is enforced at its natural order-one scale.
     """
-    fu = family.f(u)
+    try:
+        fu = family.f(u)
+    except FamilyDomainError:
+        return None, None, None, None, np.inf  # no f(u), so no residual to measure
     if not np.all(np.isfinite(fu)):
         return None, None, None, fu, np.inf  # f overflowed: no residual to measure
     Ku = K.apply(u)

@@ -261,7 +261,7 @@ def _write_branch_artifacts(cfg: RunConfig, family, branch: Branch, status: str,
                             m_max: float) -> dict:
     tag = f"{_family_tag(cfg.family)}_N{cfg.dim_N}"
     rows = []
-    report = None  # each point's report aims the next point's shift
+    report = None  # each report's eigenfunction starts the next point
     for pt in branch.points:
         report = smallest_stability_eigenvalue(family, pt, report)
         rows.append((pt.m, pt.lam, pt.u[0], max(pt.u), report.mu1, pt.residual_norm,

@@ -64,6 +64,13 @@ def _exp(t: np.ndarray):
     return np.where(t > _EXP_ARG_MAX, np.inf, np.exp(np.minimum(t, _EXP_ARG_MAX)))
 
 
+def _pow(base: np.ndarray, exponent: float):
+    """base^exponent for base > 0, +inf where that exceeds the double range (with
+    no overflow warning)."""
+    with np.errstate(over="ignore"):
+        return base**exponent
+
+
 @dataclass(frozen=True)
 class NonlinearityFamily:
     """One nonlinearity with closed-form f, f', f'' and auxiliaries.
@@ -120,8 +127,8 @@ class NonlinearityFamily:
         if self.kind == "exp":
             return _exp(t)
         if self.kind == "power":
-            return (1.0 + t) ** self.p
-        return (1.0 - t) ** (-self.p)
+            return _pow(1.0 + t, self.p)
+        return _pow(1.0 - t, -self.p)
 
     def fp(self, t):
         t = np.asarray(t, dtype=float)
@@ -129,8 +136,8 @@ class NonlinearityFamily:
         if self.kind == "exp":
             return _exp(t)
         if self.kind == "power":
-            return self.p * (1.0 + t) ** (self.p - 1.0)
-        return self.p * (1.0 - t) ** (-(self.p + 1.0))
+            return self.p * _pow(1.0 + t, self.p - 1.0)
+        return self.p * _pow(1.0 - t, -(self.p + 1.0))
 
     def fpp(self, t):
         t = np.asarray(t, dtype=float)
@@ -138,8 +145,8 @@ class NonlinearityFamily:
         if self.kind == "exp":
             return _exp(t)
         if self.kind == "power":
-            return self.p * (self.p - 1.0) * (1.0 + t) ** (self.p - 2.0)
-        return self.p * (self.p + 1.0) * (1.0 - t) ** (-(self.p + 2.0))
+            return self.p * (self.p - 1.0) * _pow(1.0 + t, self.p - 2.0)
+        return self.p * (self.p + 1.0) * _pow(1.0 - t, -(self.p + 2.0))
 
 
 def exponential() -> NonlinearityFamily:

@@ -87,29 +87,24 @@ class RadialGrid:
 
 @dataclass
 class BandedOperator:
-    """Tridiagonal operator on the active nodes of the ball.
-
-    ``sub``, ``diag``, ``sup`` are the three diagonals; ``outer_coupling``
-    records the stencil weight of the eliminated boundary node at r = 1 so
-    that an inhomogeneous boundary value can still be applied.
-    """
+    """Tridiagonal operator on the active nodes of the ball, given by its
+    ``sub``, ``diag`` and ``sup`` diagonals; the eliminated boundary node at
+    r = 1 carries homogeneous Dirichlet data."""
 
     sub: np.ndarray
     diag: np.ndarray
     sup: np.ndarray
-    outer_coupling: float = 0.0
 
     @property
     def size(self) -> int:
         return len(self.diag)
 
-    def apply(self, values: np.ndarray, outer: float = 0.0) -> np.ndarray:
-        """Matrix-vector product, with an optional boundary value at r = 1."""
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """Matrix-vector product."""
         x = np.asarray(values, dtype=float)
         y = self.diag * x
         y[1:] += self.sub[1:] * x[:-1]
         y[:-1] += self.sup[:-1] * x[1:]
-        y[-1] += self.outer_coupling * outer
         return y
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -119,9 +114,6 @@ class BandedOperator:
         ab[1, :] = self.diag
         ab[2, :-1] = self.sub[1:]
         return solve_banded((1, 1), ab, np.asarray(rhs, dtype=float), check_finite=False)
-
-    def negated(self) -> "BandedOperator":
-        return BandedOperator(-self.sub, -self.diag, -self.sup, -self.outer_coupling)
 
 
 def laplacian_matrix(grid: RadialGrid) -> BandedOperator:
@@ -140,14 +132,14 @@ def laplacian_matrix(grid: RadialGrid) -> BandedOperator:
     sub[1:] = km / (h**2 * rho)
     diag[1:] = -(km + kp) / (h**2 * rho)
     sup[1:] = kp / (h**2 * rho)
-    outer = sup[M - 1]
     sup[M - 1] = 0.0
-    return BandedOperator(sub, diag, sup, outer_coupling=outer)
+    return BandedOperator(sub, diag, sup)
 
 
 def minus_laplacian(grid: RadialGrid) -> BandedOperator:
     """-Delta_h, the positive-definite form used by the solvers."""
-    return laplacian_matrix(grid).negated()
+    L = laplacian_matrix(grid)
+    return BandedOperator(-L.sub, -L.diag, -L.sup)
 
 
 def unit_sphere_area(N: int) -> float:

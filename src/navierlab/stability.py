@@ -13,21 +13,17 @@ boundary condition emerging naturally because the form never samples
 Delta psi at the boundary node.  Its symmetric similarity transform
 T = W^(1/2) B W^(-1/2) is pentadiagonal.
 
-Every point is solved the same way: a shift sigma is certified just left
-of the leftmost eigenvalue mu1, then shifted inverse power iteration runs
-on the banded Cholesky factor of T - sigma.  A factorization succeeds
-exactly when sigma < mu1 (to about eps ||T||), so the certificate is a
-bracket of two adjacent trial shifts, a success at sigma and a failure one
-step to its right: sigma lies below mu1 and within one step of it.  Along
-a branch the previous point's mu1 aims the trial shifts, lowered to the
-current Rayleigh quotient of the previous eigenfunction when that is
-smaller (every quotient bounds mu1 from above).  The trials step away from
-the aim geometrically until the bracket closes, and the previous
-eigenfunction starts the iteration, so a point costs a few O(n)
-factorizations and solves.  The banded bisection ``eig_banded`` aims the
-shift only for a point with no predecessor, or when no bracket is found
-within MAX_BRACKET_FACTORIZATIONS.  The factor that certified the shift
-is the one every solve uses.
+Every point takes the same path: a shift sigma is certified just left of
+the leftmost eigenvalue mu1, then shifted inverse power iteration runs on
+the banded Cholesky factor of T - sigma.  A factorization succeeds exactly
+when sigma < mu1 (to about eps ||T||).  The W-Rayleigh quotient of the
+start vector, the previous point's eigenfunction along a branch and a
+positive bump otherwise, bounds mu1 from above and is the ceiling.  Trial
+shifts step left of the ceiling, each step BRACKET_GROWTH times the last,
+until a factorization succeeds; bisection then narrows the bracket
+between that success and the failure to its right to one margin.  The
+factor at the final success does every solve, so a point costs a few O(n)
+factorizations and solves.
 
 The Rayleigh quotients are evaluated in the W inner product as
 ||K psi||_W^2 - lambda <f'(u) psi, psi>_W, and precision always comes from
@@ -45,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded, solve_banded
+from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .branch import BranchPoint
@@ -63,8 +59,6 @@ EIG_TOL = 1e-10
 MAX_INVERSE_ITERS = 400
 # iterate change that ends inverse iteration; see _inverse_iteration
 _VEC_TOL = max(1e-8, np.sqrt(EIG_TOL) * 1e-3)
-# trial factorizations before an aimed bracket gives way to the bisection
-MAX_BRACKET_FACTORIZATIONS = 10
 BRACKET_GROWTH = 4.0  # ratio of successive trial-shift steps
 
 
@@ -114,28 +108,35 @@ def _cholesky(upper, sigma):
     return chol if info == 0 else None
 
 
-def _bracket(upper, aim, margin):
-    """Certify a shift near ``aim`` by trial factorizations of T - sigma.
+def _certify_shift(upper, t_norm, ceiling):
+    """Banded Cholesky factor of T - sigma at a shift sigma below mu1.
 
-    The first trial sits ``margin`` left of the aim; the trials then step
-    left while the factorization fails and right while it succeeds, each
-    step BRACKET_GROWTH times the last, and stop at a success with a
-    failure one step to its right.  Returns the factor at that shift, or
-    None after MAX_BRACKET_FACTORIZATIONS trials.
+    ``ceiling`` bounds mu1 from above.  The trials step left of it until a
+    factorization succeeds, each step BRACKET_GROWTH times the last; below
+    -||T||_1 the shifted matrix is diagonally dominant, so a failure there
+    raises EigenIterationError.  Bisection then narrows the bracket to one
+    margin, which is at least 2 eps ||T||_1 so that every midpoint lies
+    strictly inside, and the factor at the last success is returned.
     """
-    sigma, step = aim - margin, margin
+    margin = max(2.0 * np.finfo(float).eps * t_norm, 1e-6 * (1.0 + abs(ceiling)))
+    fail, step = ceiling, margin
+    sigma = fail - step
     chol = _cholesky(upper, sigma)
-    rightward = chol is not None
-    for _ in range(MAX_BRACKET_FACTORIZATIONS - 1):
-        trial = sigma + step if rightward else sigma - step
-        trial_chol = _cholesky(upper, trial)
-        if rightward and trial_chol is None:
-            return chol
-        if not rightward and trial_chol is not None:
-            return trial_chol
-        sigma, chol = trial, trial_chol
-        step *= BRACKET_GROWTH
-    return None
+    while chol is None:
+        if sigma < -t_norm:
+            raise EigenIterationError("no positive definite shift found below the "
+                                      "leftmost eigenvalue")
+        fail, step = sigma, step * BRACKET_GROWTH
+        sigma = fail - step
+        chol = _cholesky(upper, sigma)
+    while fail - sigma > margin:
+        mid = 0.5 * (sigma + fail)
+        mid_chol = _cholesky(upper, mid)
+        if mid_chol is None:
+            fail = mid
+        else:
+            sigma, chol = mid, mid_chol
+    return chol
 
 
 def _inverse_iteration(solve, apply_B, W, x0):
@@ -171,11 +172,12 @@ def smallest_stability_eigenvalue(
     """Smallest eigenvalue of K^2 - lambda f'(u) in the weighted inner product.
 
     ``previous``, the report of a neighbouring point on the same grid,
-    aims the shift certificate and starts the iteration.  The returned
-    eigenfunction is W-normalized and its Rayleigh quotient reproduces mu1
-    to the solver tolerance.  Raises EigenIterationError if no shift is
-    certified or the quotient has not stabilized after MAX_INVERSE_ITERS
-    solves.
+    lends its eigenfunction as the start vector, whose Rayleigh quotient is
+    the ceiling of the shift certificate.  The returned eigenfunction is
+    W-normalized and its Rayleigh quotient reproduces mu1 to the solver
+    tolerance.  Raises EigenIterationError if the operator is not finite, no
+    shift is certified or the quotient has not stabilized after
+    MAX_INVERSE_ITERS solves.
     """
     grid = point.grid
     K = minus_laplacian(grid)
@@ -184,33 +186,18 @@ def smallest_stability_eigenvalue(
     fpu = np.asarray(family.fp(point.u), dtype=float) if lam != 0.0 else np.zeros(grid.size)
     s = np.sqrt(W)
     upper, t_norm = _stability_bands(K, s, lam, fpu)
-
-    def margin(aim):
-        # a factorization decides sigma < mu1 only to about eps * ||T||
-        return max(2.0 * np.finfo(float).eps * t_norm, 1e-6 * (1.0 + abs(aim)))
+    if not np.isfinite(t_norm):
+        raise EigenIterationError("stability operator has non-finite entries")
 
     def apply_B(y):
         # <y, (K^2 - lam f') y>_W via ||Ky||_W^2: K^2 y would cancel badly
         Ky = K.apply(y)
         return float(Ky @ (W * Ky)) - lam * float(y @ (W * fpu * y))
 
-    chol = None
-    x0 = _start_vector(grid)
-    if previous is not None:
-        x0 = previous.eigenfunction
-        if x0.shape != (grid.size,):
-            raise ValueError("previous report lives on a different grid")
-        # every Rayleigh quotient bounds mu1 from above, so the quotient of
-        # the previous eigenfunction lowers an aim that is provably too high
-        aim = min(previous.mu1, apply_B(x0) / float(x0 @ (W * x0)))
-        chol = _bracket(upper, aim, margin(aim))
-    if chol is None:
-        target = float(eig_banded(upper, lower=False, select="i", select_range=(0, 0),
-                                  eigvals_only=True)[0])
-        chol = _bracket(upper, target, margin(target))
-        if chol is None:
-            raise EigenIterationError("no positive definite shift found below the "
-                                      "leftmost eigenvalue")
+    x0 = _start_vector(grid) if previous is None else previous.eigenfunction
+    if x0.shape != (grid.size,):
+        raise ValueError("previous report lives on a different grid")
+    chol = _certify_shift(upper, t_norm, apply_B(x0) / float(x0 @ (W * x0)))
 
     def solve(x):
         # (B - sigma)^(-1) = W^(-1/2) (T - sigma)^(-1) W^(1/2)
@@ -226,7 +213,7 @@ def dirichlet_laplacian_ground_eigenvalue(grid: RadialGrid) -> float:
     Used as the oracle for the spectral identity: at the zero solution the
     stability eigenvalue equals the square of this value.  Zero-shift
     inverse iteration on a banded LU solve, independent of the Cholesky
-    certificate and of the bisection.
+    certificate.
     """
     K = minus_laplacian(grid)
     W = volume_weights(grid)

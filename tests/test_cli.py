@@ -402,13 +402,26 @@ def test_failure_exit_codes(case, tmp_path, capsys):
         assert math.isfinite(float(rows[1]["lambda_star"]))
 
 
-@pytest.mark.parametrize("amplitude, code, prefix", [("700", 3, "inconclusive:"),
-                                                     ("800", 4, "compute failure:")])
-def test_large_first_amplitude_warns_nothing(amplitude, code, prefix, tmp_path, capsys):
-    # at m = 700 the initial-guess fit once overflowed f(u) @ f(u), at m = 800
-    # e^u itself; the suite turns any numpy warning into an error
-    argv = ["branch", "--family", "exp", "--N", "3", "--n", "64", "--m-max", amplitude,
-            "--amplitude-step", amplitude, "--out", str(tmp_path / "run")]
+# (family, N, m-max, first amplitude) of runs that once leaked a numpy warning
+# or a domain error, with the exit code and stderr prefix they end with:
+# - exp at 700 overflowed f(u) @ f(u) in the initial-guess fit, at 800 e^u;
+# - power at 1e200 overflowed (1 + u)^p;
+# - power:p=3.5 in N = 5 took a Newton trial with u <= -1.
+LARGE_FIRST_AMPLITUDES = {
+    "700-3-inconclusive:": (("exp", "3", "700", "700"), 3, "inconclusive:"),
+    "800-4-compute failure:": (("exp", "3", "800", "800"), 4, "compute failure:"),
+    "power-1e200-4-compute failure:": (("power:p=2", "3", "1e200", "1e200"), 4,
+                                       "compute failure:"),
+    "power-1e5-3-inconclusive:": (("power:p=3.5", "5", "1e6", "1e5"), 3, "inconclusive:"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LARGE_FIRST_AMPLITUDES))
+def test_large_first_amplitude_warns_nothing(case, tmp_path, capsys):
+    # the suite turns any numpy warning into an error
+    (family, dim, m_max, step), code, prefix = LARGE_FIRST_AMPLITUDES[case]
+    argv = ["branch", "--family", family, "--N", dim, "--n", "64", "--m-max", m_max,
+            "--amplitude-step", step, "--out", str(tmp_path / "run")]
     assert main(argv) == code
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix), lines

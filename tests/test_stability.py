@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from navierlab.branch import continue_branch, trivial_point
+from navierlab.branch import BranchPoint, continue_branch, trivial_point
 from navierlab.families import exponential, mems, power
 from navierlab import stability
 from navierlab.radial import RadialGrid, minus_laplacian, volume_weights
 from navierlab.stability import (
+    EigenIterationError,
     StabilityReport,
     dirichlet_laplacian_ground_eigenvalue,
     smallest_stability_eigenvalue,
@@ -167,6 +168,15 @@ def test_mems_pre_fold_semistable():
         assert smallest_stability_eigenvalue(fam, pt).mu1 >= -1e-6 * abs(mu0)
 
 
+def factored_quotient(fam, pt, psi):
+    """W-Rayleigh quotient of psi for K^2 - lambda F', in factored form."""
+    K = minus_laplacian(pt.grid)
+    W = volume_weights(pt.grid)
+    Kp = K.apply(psi)
+    return (float(Kp @ (W * Kp)) - pt.lam * float(psi @ (W * fam.fp(pt.u) * psi))) / float(
+        psi @ (W * psi))
+
+
 def dense_leftmost_mode(fam, pt):
     """The leftmost mode of T = W^(1/2) B W^(-1/2), B = K^2 - lambda F', by a
     dense solver: its eigenvalue, accurate only to ~eps * ||T||, the factored
@@ -179,10 +189,7 @@ def dense_leftmost_mode(fam, pt):
     T = (s[:, None] * (Kd @ Kd - pt.lam * np.diag(fpu))) / s[None, :]
     T = 0.5 * (T + T.T)
     values, vectors = np.linalg.eigh(T)
-    psi = vectors[:, 0] / s
-    psi /= math.sqrt(float(psi @ (W * psi)))
-    Kp = K.apply(psi)
-    quotient = float(Kp @ (W * Kp)) - pt.lam * float(psi @ (W * fpu * psi))
+    quotient = factored_quotient(fam, pt, vectors[:, 0] / s)
     return float(values[0]), quotient, float(np.max(np.sum(np.abs(T), axis=0)))
 
 
@@ -204,35 +211,49 @@ CHAINS = [(exponential(), 3, 6.0), (power(2.0), 4, 3.0), (mems(2.0), 4, 0.9)]
 
 
 @pytest.mark.parametrize("fam, N, m_max", CHAINS)
-def test_chained_certificate_through_the_fold(fam, N, m_max, monkeypatch):
-    # each report aims the next point's shift; every point still against the
-    # dense spectrum, and the bisection runs only for the first point and
-    # after an exhausted bracket search
-    calls = {"eig_banded": 0, "exhausted": 0}
-    eig_banded, bracket = stability.eig_banded, stability._bracket
+def test_certified_shift_through_the_fold(fam, N, m_max, monkeypatch):
+    # chained and unchained, every point's certified shift lies below the
+    # dense leftmost eigenvalue and within one margin of it
+    eps = np.finfo(float).eps
+    shifts = []
+    cholesky = stability._cholesky
 
-    def counting_eig_banded(*args, **kwargs):
-        calls["eig_banded"] += 1
-        return eig_banded(*args, **kwargs)
-
-    def counting_bracket(*args):
-        chol = bracket(*args)
-        calls["exhausted"] += chol is None
+    def recording_cholesky(upper, sigma):
+        chol = cholesky(upper, sigma)
+        if chol is not None:
+            shifts.append(sigma)
         return chol
 
-    monkeypatch.setattr(stability, "eig_banded", counting_eig_banded)
-    monkeypatch.setattr(stability, "_bracket", counting_bracket)
+    monkeypatch.setattr(stability, "_cholesky", recording_cholesky)
     branch = continue_branch(fam, RadialGrid(N, 64), m_max)
     assert branch.fold_detected
-    rep = None
-    for pt in branch.points:
-        rep = smallest_stability_eigenvalue(fam, pt, rep)
-        value, quotient, t_norm = dense_leftmost_mode(fam, pt)
-        assert abs(rep.mu1 - value) <= np.finfo(float).eps * t_norm
-        assert abs(rep.mu1 - quotient) <= 1e-8 * max(abs(rep.mu1), 1.0)
-        assert rep.iterations <= MAX_SHIFTED_ITERS
-    assert calls["eig_banded"] == 1 + calls["exhausted"]
-    assert calls["exhausted"] <= 1
+    for chained in (False, True):
+        rep = None
+        for pt in branch.points:
+            previous = rep if chained else None
+            start = previous.eigenfunction if previous else stability._start_vector(pt.grid)
+            ceiling = factored_quotient(fam, pt, start)
+            shifts.clear()
+            rep = smallest_stability_eigenvalue(fam, pt, previous)
+            value, quotient, t_norm = dense_leftmost_mode(fam, pt)
+            margin = max(2.0 * eps * t_norm, 1e-6 * (1.0 + abs(ceiling)))
+            sigma = shifts[-1]
+            assert value - margin - eps * t_norm <= sigma < value + eps * t_norm
+            assert abs(rep.mu1 - value) <= eps * t_norm
+            assert abs(rep.mu1 - quotient) <= 1e-8 * max(abs(rep.mu1), 1.0)
+            assert rep.iterations <= MAX_SHIFTED_ITERS
+
+
+@pytest.mark.filterwarnings("error")
+def test_infinite_lambda_raises():
+    grid = RadialGrid(3, 64)
+    fam = exponential()
+    report = smallest_stability_eigenvalue(fam, trivial_point(grid))
+    zero = np.zeros(grid.size)
+    pt = BranchPoint(0.0, math.inf, zero, zero.copy(), 0.0, 0, grid)
+    for previous in (None, report):
+        with pytest.raises(EigenIterationError):
+            smallest_stability_eigenvalue(fam, pt, previous)
 
 
 @pytest.mark.parametrize("fam, N, m_max", CHAINS)
