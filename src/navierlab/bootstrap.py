@@ -26,7 +26,7 @@ functions of the inputs and never need exact arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .families import NonlinearityFamily, gamma_limits
 
@@ -105,7 +105,6 @@ class BootstrapTrace:
     classification: str
     fixed_point: float | None = None
     escape_steps: int | None = None
-    params: ExponentParams | None = field(default=None, repr=False)
 
     def as_dict(self) -> dict:
         out = {
@@ -151,7 +150,7 @@ def run_bootstrap(params: ExponentParams, max_steps: int = 100_000) -> Bootstrap
     quarter = N / 4.0
     seq = [params.q0]
     if params.q0 > quarter:
-        return BootstrapTrace(seq, ESCAPED, escape_steps=0, params=params)
+        return BootstrapTrace(seq, ESCAPED, escape_steps=0)
     try:
         fp = fixed_point(alpha, beta, N)
     except RecursionDomainError:
@@ -160,11 +159,11 @@ def run_bootstrap(params: ExponentParams, max_steps: int = 100_000) -> Bootstrap
         q_next = iterate_q(seq[-1], alpha, beta, N)
         seq.append(q_next)
         if q_next > quarter:
-            return BootstrapTrace(seq, ESCAPED, fixed_point=fp, escape_steps=step, params=params)
+            return BootstrapTrace(seq, ESCAPED, fixed_point=fp, escape_steps=step)
         if abs(q_next - seq[-2]) < CONVERGENCE_TOL:
             label = INCREASING if seq[1] >= seq[0] else DECREASING
-            return BootstrapTrace(seq, label, fixed_point=fp, params=params)
-    return BootstrapTrace(seq, INCONCLUSIVE, fixed_point=fp, params=params)
+            return BootstrapTrace(seq, label, fixed_point=fp)
+    return BootstrapTrace(seq, INCONCLUSIVE, fixed_point=fp)
 
 
 def iterate_dual(q0: float, q: float, N: int) -> float:

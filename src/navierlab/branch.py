@@ -35,7 +35,6 @@ __all__ = [
     "BranchPoint",
     "Branch",
     "NewtonDivergedError",
-    "TouchdownError",
     "ContinuationError",
     "solve_at_amplitude",
     "continue_branch",
@@ -48,8 +47,9 @@ STEP_GROWTH = 2.0  # continuation step growth after fast convergence
 MAX_STEP_FACTOR = 4.0  # largest continuation step, in units of amplitude_step
 MIN_STEP_FACTOR = 1.0 / 1024.0  # smallest one before continuation gives up
 FOLD_REFINE_FACTOR = 64.0  # fold bracket width target: amplitude_step / this
-# touchdown margin: iterates of the singular family keep max(u) < 1 - MEMS_GUARD
-MEMS_GUARD = 1e-6
+# the singular family is continued no further than this amplitude, which the
+# grid still resolves; its fold sits far below
+MEMS_M_MAX = 1.0 - 1e-4
 # loosest Newton tolerance a run may ask for: the discretization error the
 # test suite measures between n = 1024 and n = 2048
 MAX_NEWTON_TOL = 1e-6
@@ -126,24 +126,12 @@ class NewtonDivergedError(RuntimeError):
         self.last_iterate = last_iterate
 
 
-class TouchdownError(RuntimeError):
-    """A singular-family iterate reached the touchdown guard."""
-
-    def __init__(self, message: str, last_iterate: BranchPoint | None = None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-
-
 class ContinuationError(RuntimeError):
     """Continuation aborted; carries the partial branch solved so far."""
 
     def __init__(self, message: str, partial: Branch | None = None):
         super().__init__(message)
         self.partial = partial
-
-
-def _touchdown_bound(family: NonlinearityFamily) -> float | None:
-    return 1.0 - MEMS_GUARD if family.singular else None
 
 
 def _residual(K: BandedOperator, family, u, v, lam, m):
@@ -186,7 +174,6 @@ def _newton(K, family, grid, m, u, v, lam, config) -> BranchPoint:
     long before lambda has stabilized, while the update criterion pins
     (u, v, lambda) to about newton_tol in relative terms.
     """
-    guard = _touchdown_bound(family)
     M = grid.size
     sub, diag, sup = K.sub, K.diag, K.sup
     update_rel = None
@@ -225,9 +212,6 @@ def _newton(K, family, grid, m, u, v, lam, config) -> BranchPoint:
             un = u + t * du
             vn = v + t * dv
             ln = lam + t * dlam
-            if guard is not None and float(np.max(un)) >= guard:
-                t *= DAMPING
-                continue
             rn_new = _residual(K, family, un, vn, ln, m)[4]
             if rn_new < rn * (1.0 - 1e-4 * t) or rn_new <= config.newton_tol:
                 accepted = True
@@ -235,10 +219,6 @@ def _newton(K, family, grid, m, u, v, lam, config) -> BranchPoint:
             t *= DAMPING
         if not accepted:
             last = BranchPoint(m, float(lam), u, v, rn, it, grid)
-            if guard is not None and float(np.max(u + du)) >= guard:
-                raise TouchdownError(
-                    f"iterate at m={m:g} pushed past the touchdown guard", last
-                )
             raise NewtonDivergedError(
                 f"line search stalled at m={m:g}, residual {rn:.3e}", last
             )
@@ -281,9 +261,8 @@ def solve_at_amplitude(
     config = config or SolverConfig()
     if m <= 0.0:
         raise ValueError("amplitude must be positive")
-    guard = _touchdown_bound(family)
-    if guard is not None and m >= guard:
-        raise ValueError(f"amplitude {m:g} violates the touchdown guard {guard:g}")
+    if family.singular and m > MEMS_M_MAX:
+        raise ValueError(f"amplitude {m:g} exceeds the mems limit {MEMS_M_MAX:g}")
     K = minus_laplacian(grid)
     if guess is not None:
         if guess.grid.key() != grid.key():
@@ -317,18 +296,20 @@ def continue_branch(
 ) -> Branch:
     """March the amplitude from one step up to m_max, warm-starting each solve.
 
-    Steps halve whenever Newton diverges (or a singular iterate touches
-    down) and grow after fast convergence, capped at
-    MAX_STEP_FACTOR * amplitude_step.  A fold is recorded when the sampled
-    lambda attains an interior maximum; the extremal-parameter estimate is
-    the refined parabola vertex there.
+    Every amplitude tried is min(last accepted m + step, m_max), with 0
+    before the first point.  Steps halve whenever Newton diverges and grow
+    after fast convergence, capped at MAX_STEP_FACTOR * amplitude_step.  A
+    Newton trial outside the family's domain is rejected by the line search
+    like any other, and the singular family is continued to at most
+    MEMS_M_MAX = 1 - 1e-4.  A fold is recorded when the sampled lambda
+    attains an interior maximum; the extremal-parameter estimate is the
+    refined parabola vertex there.
     """
     config = config or SolverConfig()
     if m_max <= 0.0:
         raise ValueError("m_max must be positive")
-    guard = _touchdown_bound(family)
-    if guard is not None and m_max >= guard:
-        raise ValueError(f"m_max {m_max:g} violates the touchdown guard {guard:g}")
+    if family.singular and m_max > MEMS_M_MAX:
+        raise ValueError(f"m_max {m_max:g} exceeds the mems limit {MEMS_M_MAX:g}")
     K = minus_laplacian(grid)
     step0 = config.amplitude_step
     step_cap = MAX_STEP_FACTOR * step0
@@ -337,8 +318,11 @@ def continue_branch(
     prev: BranchPoint | None = None
     prev2: BranchPoint | None = None
     step = min(step0, m_max)
-    m_target = step
+    m_last = 0.0  # the last accepted amplitude
     while True:
+        m_target = min(m_last + step, m_max)  # first try, retry and next step
+        if m_target <= m_last:
+            break
         try:
             if prev is None:
                 u, v, lam = _initial_guess(K, family, grid, m_target)
@@ -350,30 +334,20 @@ def continue_branch(
                 u = prev.u + w * (prev.u - prev2.u)
                 v = prev.v + w * (prev.v - prev2.v)
                 lam = prev.lam + w * (prev.lam - prev2.lam)
-                if guard is not None and float(np.max(u)) >= guard:
-                    u, v, lam = prev.u.copy(), prev.v.copy(), prev.lam
             pt = _newton(K, family, grid, m_target, u, v, lam, config)
-        except (NewtonDivergedError, TouchdownError) as exc:
+        except NewtonDivergedError as exc:
             step *= 0.5
             if step < step_floor:
                 partial = _assemble_branch(points, grid, family)
                 raise ContinuationError(
                     f"step fell below {step_floor:g} near m={m_target:g}: {exc}", partial
                 ) from exc
-            m_target = (prev.m + step) if prev is not None else step
             continue
         prev2, prev = prev, pt
         points.append(pt)
-        if m_target >= m_max:
-            break
+        m_last = m_target
         if pt.newton_iters <= 4:
             step = min(step * STEP_GROWTH, step_cap)
-        m_next = min(m_target + step, m_max)
-        if guard is not None:
-            m_next = min(m_next, guard * (1.0 - 1e-12))
-        if m_next <= m_target:
-            break
-        m_target = m_next
     _refine_fold_bracket(K, family, grid, config, points)
     return _assemble_branch(points, grid, family)
 
@@ -408,7 +382,7 @@ def _refine_fold_bracket(K, family, grid, config, points) -> None:
             insert_at = k + 1
         try:
             pt = _newton(K, family, grid, m_new, mid.u.copy(), mid.v.copy(), mid.lam, config)
-        except (NewtonDivergedError, TouchdownError):
+        except NewtonDivergedError:
             return
         points.insert(insert_at, pt)
 

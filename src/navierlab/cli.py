@@ -32,7 +32,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import bootstrap as bs
-from .branch import Branch, ContinuationError, SolverConfig, continue_branch
+from .branch import MEMS_M_MAX, Branch, ContinuationError, SolverConfig, continue_branch
 from .estimates import (
     check_L2,
     check_crucial_integrals,
@@ -50,9 +50,6 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_COMPUTE = 4
 
-# the singular family is continued no further than this amplitude, which the
-# grid still resolves; its fold sits far below
-MEMS_M_MAX = 1.0 - 1e-4
 # the most initial-size continuation steps a run may ask for
 MAX_CONTINUATION_STEPS = 10_000
 

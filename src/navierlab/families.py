@@ -53,15 +53,12 @@ class FamilyDomainError(ValueError):
 
 
 _KINDS = ("exp", "power", "mems")
-# largest argument whose exponential is a finite double
-_EXP_ARG_MAX = float(np.log(np.finfo(float).max))
 
 
 def _exp(t: np.ndarray):
     """e^t, +inf where that exceeds the double range (with no overflow warning)."""
-    if not np.any(t > _EXP_ARG_MAX):
+    with np.errstate(over="ignore"):
         return np.exp(t)
-    return np.where(t > _EXP_ARG_MAX, np.inf, np.exp(np.minimum(t, _EXP_ARG_MAX)))
 
 
 def _pow(base: np.ndarray, exponent: float):

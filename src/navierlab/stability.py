@@ -41,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .branch import BranchPoint
@@ -212,21 +211,13 @@ def dirichlet_laplacian_ground_eigenvalue(grid: RadialGrid) -> float:
 
     Used as the oracle for the spectral identity: at the zero solution the
     stability eigenvalue equals the square of this value.  Zero-shift
-    inverse iteration on a banded LU solve, independent of the Cholesky
-    certificate.
+    inverse iteration on the tridiagonal banded LU solve of K, independent
+    of the Cholesky certificate.
     """
     K = minus_laplacian(grid)
     W = volume_weights(grid)
-    M = grid.size
-    ab = np.zeros((5, M))
-    ab[1, 1:] = K.sup[:-1]
-    ab[2, :] = K.diag
-    ab[3, :-1] = K.sub[1:]
-
-    def solve(x):
-        return solve_banded((2, 2), ab, x, check_finite=False)
 
     def apply_B(y):
         return float(y @ (W * K.apply(y)))
 
-    return _inverse_iteration(solve, apply_B, W, _start_vector(grid))[0]
+    return _inverse_iteration(K.solve, apply_B, W, _start_vector(grid))[0]

@@ -5,6 +5,7 @@ import pytest
 
 from navierlab import branch as branch_module
 from navierlab.branch import (
+    MEMS_M_MAX,
     Branch,
     BranchPoint,
     NewtonDivergedError,
@@ -139,6 +140,23 @@ def test_amplitude_preconditions():
         solve_at_amplitude(mems(2.0), grid, 1.0 - 1e-9)  # inside the guard
     with pytest.raises(ValueError):
         continue_branch(mems(2.0), grid, 1.0)
+    with pytest.raises(ValueError):
+        continue_branch(mems(2.0), grid, MEMS_M_MAX + 1e-6)
+
+
+def test_no_amplitude_tried_past_m_max(monkeypatch):
+    # the golden sweep's mems cell: a step that fails near touchdown is
+    # retried at the last accepted m plus the halved step, clamped to m_max
+    tried = []
+    newton = branch_module._newton
+
+    def recording_newton(K, family, grid, m, *args):
+        tried.append(m)
+        return newton(K, family, grid, m, *args)
+
+    monkeypatch.setattr(branch_module, "_newton", recording_newton)
+    continue_branch(mems(2.0), RadialGrid(4, 64), MEMS_M_MAX, SolverConfig(amplitude_step=0.1))
+    assert tried and max(tried) <= MEMS_M_MAX
 
 
 def test_warm_start_grid_mismatch():
