@@ -10,12 +10,14 @@ system
 
 by damped Newton iteration on the banded Jacobian, bordered by the lambda
 column and the constraint row.  Continuation marches m upward with adaptive
-steps and secant warm starts; the extremal parameter is estimated as the
-vertex of the parabola through the three samples bracketing the lambda
-maximum.
+steps and secant warm starts, then bisects the bracket around the sampled
+lambda maximum.
 
-The solved branch keeps every point; ``pre_fold_points`` exposes the
-segment strictly before the sampled lambda maximum, which is certainly on
+A ``Branch`` keeps only its points and grid and derives the rest from
+them by one rule: the fold is the sampled lambda maximum, detected when it
+is interior, and the extremal-parameter estimate is the vertex of the
+parabola through the three samples bracketing it.  ``pre_fold_points``
+exposes the segment strictly before that maximum, which is certainly on
 the stable side of the fold (past the fold lambda decreases, so a sample
 beyond the true fold can never carry a larger lambda than a later one).
 """
@@ -91,13 +93,11 @@ class BranchPoint:
 
 @dataclass
 class Branch:
-    """Ordered solution points by increasing amplitude."""
+    """Ordered solution points by increasing amplitude; the fold and the
+    extremal-parameter estimate are derived from them."""
 
     points: list[BranchPoint]
-    lambda_star_estimate: float
-    fold_detected: bool
     grid: RadialGrid = field(repr=False)
-    family_spec: str = ""
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -113,17 +113,35 @@ class Branch:
         return int(np.argmax(self.lambdas))
 
     @property
+    def fold_detected(self) -> bool:
+        """Whether the sampled lambda maximum is interior to the branch."""
+        return bool(self.points) and 0 < self.fold_index < len(self.points) - 1
+
+    @property
+    def lambda_star_estimate(self) -> float:
+        """Vertex of the parabola through the three samples bracketing a
+        detected fold; otherwise the sampled maximum (0.0 with no points)."""
+        if not self.fold_detected:
+            return float(self.lambdas[self.fold_index]) if self.points else 0.0
+        k = self.fold_index
+        m0, m1, m2 = self.amplitudes[k - 1 : k + 2]
+        l0, l1, l2 = self.lambdas[k - 1 : k + 2]
+        d1 = (l1 - l0) / (m1 - m0)
+        d2 = (l2 - l1) / (m2 - m1)
+        c = (d2 - d1) / (m2 - m0)
+        if c >= 0.0:
+            return float(l1)
+        mstar = 0.5 * (m0 + m1) - d1 / (2.0 * c)
+        return float(l0 + d1 * (mstar - m0) + c * (mstar - m0) * (mstar - m1))
+
+    @property
     def pre_fold_points(self) -> list[BranchPoint]:
         """Points strictly before the sampled lambda maximum."""
         return self.points[: self.fold_index]
 
 
 class NewtonDivergedError(RuntimeError):
-    """Newton failed to reduce the residual; carries the last iterate."""
-
-    def __init__(self, message: str, last_iterate: BranchPoint | None = None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+    """Newton failed to reduce the residual."""
 
 
 class ContinuationError(RuntimeError):
@@ -177,7 +195,6 @@ def _newton(K, family, grid, m, u, v, lam, config) -> BranchPoint:
     M = grid.size
     sub, diag, sup = K.sub, K.diag, K.sup
     update_rel = None
-    rn = None
     for it in range(MAX_NEWTON + 1):
         R1, R2, R3, fu, rn = _residual(K, family, u, v, lam, m)
         if not np.isfinite(rn):  # only a starting iterate can get here
@@ -218,18 +235,14 @@ def _newton(K, family, grid, m, u, v, lam, config) -> BranchPoint:
                 break
             t *= DAMPING
         if not accepted:
-            last = BranchPoint(m, float(lam), u, v, rn, it, grid)
-            raise NewtonDivergedError(
-                f"line search stalled at m={m:g}, residual {rn:.3e}", last
-            )
+            raise NewtonDivergedError(f"line search stalled at m={m:g}, residual {rn:.3e}")
         update_rel = t * max(
             float(np.max(np.abs(du))) / max(1.0, float(np.max(np.abs(u)))),
             float(np.max(np.abs(dv))) / max(1.0, float(np.max(np.abs(v)))),
             abs(dlam) / max(1.0, abs(lam)),
         )
         u, v, lam = un, vn, ln
-    last = BranchPoint(m, float(lam), u, v, rn, MAX_NEWTON, grid)
-    raise NewtonDivergedError(f"no convergence in {MAX_NEWTON} iterations at m={m:g}", last)
+    raise NewtonDivergedError(f"no convergence in {MAX_NEWTON} iterations at m={m:g}")
 
 
 def _initial_guess(K, family, grid, m):
@@ -273,21 +286,6 @@ def solve_at_amplitude(
     return _newton(K, family, grid, m, u, v, lam, config)
 
 
-def _refine_lambda_star(ms, lams, k):
-    """Vertex of the parabola through the three samples bracketing the max."""
-    if not 0 < k < len(ms) - 1:
-        return float(lams[k])
-    m0, m1, m2 = ms[k - 1], ms[k], ms[k + 1]
-    l0, l1, l2 = lams[k - 1], lams[k], lams[k + 1]
-    d1 = (l1 - l0) / (m1 - m0)
-    d2 = (l2 - l1) / (m2 - m1)
-    c = (d2 - d1) / (m2 - m0)
-    if c >= 0.0:
-        return float(l1)
-    mstar = 0.5 * (m0 + m1) - d1 / (2.0 * c)
-    return float(l0 + d1 * (mstar - m0) + c * (mstar - m0) * (mstar - m1))
-
-
 def continue_branch(
     family: NonlinearityFamily,
     grid: RadialGrid,
@@ -301,9 +299,8 @@ def continue_branch(
     after fast convergence, capped at MAX_STEP_FACTOR * amplitude_step.  A
     Newton trial outside the family's domain is rejected by the line search
     like any other, and the singular family is continued to at most
-    MEMS_M_MAX = 1 - 1e-4.  A fold is recorded when the sampled lambda
-    attains an interior maximum; the extremal-parameter estimate is the
-    refined parabola vertex there.
+    MEMS_M_MAX = 1 - 1e-4.  The bracket around the sampled lambda maximum
+    is then refined; the returned Branch derives the fold from its points.
     """
     config = config or SolverConfig()
     if m_max <= 0.0:
@@ -315,21 +312,21 @@ def continue_branch(
     step_cap = MAX_STEP_FACTOR * step0
     step_floor = MIN_STEP_FACTOR * step0
     points: list[BranchPoint] = []
-    prev: BranchPoint | None = None
-    prev2: BranchPoint | None = None
     step = min(step0, m_max)
-    m_last = 0.0  # the last accepted amplitude
     while True:
+        m_last = points[-1].m if points else 0.0  # the last accepted amplitude
         m_target = min(m_last + step, m_max)  # first try, retry and next step
         if m_target <= m_last:
             break
         try:
-            if prev is None:
+            if not points:
                 u, v, lam = _initial_guess(K, family, grid, m_target)
-            elif prev2 is None:
+            elif len(points) == 1:
+                prev = points[0]
                 u, v, lam = prev.u.copy(), prev.v.copy(), prev.lam
             else:
                 # secant predictor through the last two points
+                prev2, prev = points[-2:]
                 w = (m_target - prev.m) / (prev.m - prev2.m)
                 u = prev.u + w * (prev.u - prev2.u)
                 v = prev.v + w * (prev.v - prev2.v)
@@ -338,18 +335,16 @@ def continue_branch(
         except NewtonDivergedError as exc:
             step *= 0.5
             if step < step_floor:
-                partial = _assemble_branch(points, grid, family)
                 raise ContinuationError(
-                    f"step fell below {step_floor:g} near m={m_target:g}: {exc}", partial
+                    f"step fell below {step_floor:g} near m={m_target:g}: {exc}",
+                    Branch(points, grid),
                 ) from exc
             continue
-        prev2, prev = prev, pt
         points.append(pt)
-        m_last = m_target
         if pt.newton_iters <= 4:
             step = min(step * STEP_GROWTH, step_cap)
     _refine_fold_bracket(K, family, grid, config, points)
-    return _assemble_branch(points, grid, family)
+    return Branch(points, grid)
 
 
 def _refine_fold_bracket(K, family, grid, config, points) -> None:
@@ -360,17 +355,15 @@ def _refine_fold_bracket(K, family, grid, config, points) -> None:
     clusters samples at the fold, which sharpens the parabola vertex used
     for the extremal-parameter estimate and lets the tracked integrals
     flatten visibly as the fold is approached.  New points are inserted in
-    amplitude order.  Stops once the bracket is narrower than
-    amplitude_step / FOLD_REFINE_FACTOR.
+    amplitude order.  Stops once the points show no fold or the bracket is
+    narrower than amplitude_step / FOLD_REFINE_FACTOR.
     """
-    if len(points) < 3:
-        return
     width_target = config.amplitude_step / FOLD_REFINE_FACTOR
     for _ in range(200):
-        lams = [p.lam for p in points]
-        k = int(np.argmax(lams))
-        if k == 0 or k == len(points) - 1:
+        branch = Branch(points, grid)
+        if not branch.fold_detected:
             return
+        k = branch.fold_index
         left, mid, right = points[k - 1], points[k], points[k + 1]
         if right.m - left.m <= width_target:
             return
@@ -385,17 +378,6 @@ def _refine_fold_bracket(K, family, grid, config, points) -> None:
         except NewtonDivergedError:
             return
         points.insert(insert_at, pt)
-
-
-def _assemble_branch(points, grid, family) -> Branch:
-    if not points:
-        return Branch([], 0.0, False, grid, family.spec)
-    lams = np.array([p.lam for p in points])
-    ms = np.array([p.m for p in points])
-    k = int(np.argmax(lams))
-    fold = 0 < k < len(points) - 1
-    lam_star = _refine_lambda_star(ms, lams, k) if fold else float(lams[k])
-    return Branch(points, lam_star, fold, grid, family.spec)
 
 
 def trivial_point(grid: RadialGrid) -> BranchPoint:

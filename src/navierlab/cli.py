@@ -265,7 +265,7 @@ def _write_branch_artifacts(cfg: RunConfig, family, branch: Branch, status: str,
                      pt.newton_iters))
     _write_atomic(os.path.join(cfg.out, f"branch_{tag}.csv"), _csv_text(_BRANCH_HEADER, rows))
     summary = {
-        "family": branch.family_spec or cfg.family,
+        "family": family.spec,
         "N": cfg.dim_N,
         "n": cfg.n,
         "lambda_star_estimate": branch.lambda_star_estimate,

@@ -1,8 +1,9 @@
 """Integral and pointwise inequalities certified at branch points.
 
 Semi-stable solutions of the fourth-order problem obey a family of a-priori
-bounds; this module evaluates both sides of each of them numerically and
-reports left-hand side, right-hand side and margin.  Per-point checks:
+bounds; this module evaluates both sides of each of them numerically, and
+each report derives its margin rhs - lhs and its verdict from the two.
+Per-point checks:
 
 * pointwise lower bound     v >= sqrt(lambda) g(u)            on the grid
 * energy estimate           int f''(u) v |grad u|^2 <= lambda int f(u)
@@ -68,15 +69,23 @@ TOL_FACTOR = 1e-6
 
 @dataclass
 class EstimateReport:
+    """Both sides of one inequality lhs <= rhs at one branch point."""
+
     name: str
     lhs: float
     rhs: float
-    margin: float
-    satisfied: bool
     tol: float
     m: float
     lam: float
     grid_id: str
+
+    @property
+    def margin(self) -> float:
+        return self.rhs - self.lhs
+
+    @property
+    def satisfied(self) -> bool:
+        return self.margin >= -self.tol
 
 
 @dataclass
@@ -86,8 +95,15 @@ class BranchSupremum:
     name: str
     amplitudes: list[float]
     values: list[float]
-    sup: float
-    trend: float  # relative last-quarter slope per continuation step
+
+    @property
+    def sup(self) -> float:
+        return max(self.values, default=0.0)
+
+    @property
+    def trend(self) -> float:
+        """Relative last-quarter slope per continuation step."""
+        return _last_quarter_trend(self.values)
 
     @property
     def finite(self) -> bool:
@@ -98,65 +114,45 @@ def _tol(lhs: float, rhs: float) -> float:
     return TOL_FACTOR * max(abs(lhs), abs(rhs), 1.0)
 
 
-def _meta(point: BranchPoint) -> tuple[float, float, str]:
-    return point.m, point.lam, point.grid.key()
+def _report(name: str, point: BranchPoint, lhs: float, rhs: float, tol: float) -> EstimateReport:
+    return EstimateReport(name, lhs, rhs, tol, point.m, point.lam, point.grid.key())
 
 
 def check_pointwise_bound(family: NonlinearityFamily, point: BranchPoint) -> EstimateReport:
-    """Nodewise v - sqrt(lambda) g(u) >= 0; margin is the grid minimum."""
-    m, lam, gid = _meta(point)
+    """Nodewise v - sqrt(lambda) g(u) >= 0; lhs is the largest excess of the
+    bound over v, so the margin is the grid minimum of v - bound."""
     gu = np.asarray(g_aux(family, point.u), dtype=float)
-    bound = math.sqrt(max(lam, 0.0)) * gu
-    margin = float(np.min(point.v - bound))
+    bound = math.sqrt(max(point.lam, 0.0)) * gu
     scale = max(float(np.max(np.abs(point.v))), float(np.max(bound)), 1.0)
-    tol = TOL_FACTOR * scale
-    return EstimateReport(
-        POINTWISE_BOUND,
-        lhs=float(np.max(bound - point.v)),
-        rhs=0.0,
-        margin=margin,
-        satisfied=margin >= -tol,
-        tol=tol,
-        m=m,
-        lam=lam,
-        grid_id=gid,
-    )
+    lhs = float(np.max(bound - point.v))
+    return _report(POINTWISE_BOUND, point, lhs, 0.0, TOL_FACTOR * scale)
 
 
 def check_energy_estimate(family: NonlinearityFamily, point: BranchPoint) -> EstimateReport:
     """int f''(u) v (u')^2 dx <= lambda int f(u) dx."""
-    m, lam, gid = _meta(point)
     grid = point.grid
     du = radial_gradient(point.u, grid)
     lhs = integrate_radial(family.fpp(point.u) * point.v * du**2, grid, outer=0.0)
-    rhs = lam * integrate_radial(family.f(point.u), grid, outer=float(family.f(0.0)))
-    margin = rhs - lhs
-    tol = _tol(lhs, rhs)
-    return EstimateReport(ENERGY, lhs, rhs, margin, margin >= -tol, tol, m, lam, gid)
+    rhs = point.lam * integrate_radial(family.f(point.u), grid, outer=float(family.f(0.0)))
+    return _report(ENERGY, point, lhs, rhs, _tol(lhs, rhs))
 
 
 def check_gH_estimate(family: NonlinearityFamily, point: BranchPoint) -> EstimateReport:
     """int g(u) H(u) dx <= int f(u) dx."""
-    m, lam, gid = _meta(point)
     grid = point.grid
     gu = np.asarray(g_aux(family, point.u), dtype=float)
     Hu = h_aux_grid(family, point.u)
     lhs = integrate_radial(gu * Hu, grid, outer=0.0)
     rhs = integrate_radial(family.f(point.u), grid, outer=float(family.f(0.0)))
-    margin = rhs - lhs
-    tol = _tol(lhs, rhs)
-    return EstimateReport(G_H, lhs, rhs, margin, margin >= -tol, tol, m, lam, gid)
+    return _report(G_H, point, lhs, rhs, _tol(lhs, rhs))
 
 
 def check_basic_energy(family: NonlinearityFamily, point: BranchPoint) -> EstimateReport:
     """int f'(u) u^2 dx <= int f(u) u dx."""
-    m, lam, gid = _meta(point)
     grid = point.grid
     lhs = integrate_radial(family.fp(point.u) * point.u**2, grid, outer=0.0)
     rhs = integrate_radial(family.f(point.u) * point.u, grid, outer=0.0)
-    margin = rhs - lhs
-    tol = _tol(lhs, rhs)
-    return EstimateReport(BASIC_ENERGY, lhs, rhs, margin, margin >= -tol, tol, m, lam, gid)
+    return _report(BASIC_ENERGY, point, lhs, rhs, _tol(lhs, rhs))
 
 
 def run_pointwise_suite(family: NonlinearityFamily, point: BranchPoint) -> list[EstimateReport]:
@@ -189,12 +185,7 @@ def _last_quarter_trend(values: list[float]) -> float:
 
 def _track(name: str, branch: Branch, integrand_of_point) -> BranchSupremum:
     pts = branch.pre_fold_points
-    ms, vals = [], []
-    for pt in pts:
-        ms.append(pt.m)
-        vals.append(integrand_of_point(pt))
-    sup = max(vals) if vals else 0.0
-    return BranchSupremum(name, ms, vals, sup, _last_quarter_trend(vals))
+    return BranchSupremum(name, [pt.m for pt in pts], [integrand_of_point(pt) for pt in pts])
 
 
 def check_crucial_integrals(

@@ -106,7 +106,8 @@ class NonlinearityFamily:
         """Canonical spec string, the inverse of parse_family."""
         if self.kind == "exp":
             return "exp"
-        return f"{self.kind}:p={self.p:g}"
+        short = format(self.p, "g")
+        return f"{self.kind}:p={short if float(short) == self.p else repr(self.p)}"
 
     # -- pointwise evaluation ----------------------------------------------
 

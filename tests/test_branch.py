@@ -113,6 +113,9 @@ def test_branch_below_fold_is_monotone():
     assert not branch.fold_detected
     assert np.all(np.diff(branch.lambdas) > 0)
     assert branch.lambda_star_estimate == pytest.approx(branch.lambdas[-1])
+    empty = Branch([], grid)
+    assert empty.fold_detected is False
+    assert empty.lambda_star_estimate == 0.0
 
 
 def test_mems_branch_terminates_before_touchdown():
@@ -137,7 +140,7 @@ def test_amplitude_preconditions():
     with pytest.raises(ValueError):
         solve_at_amplitude(exponential(), grid, -0.5)
     with pytest.raises(ValueError):
-        solve_at_amplitude(mems(2.0), grid, 1.0 - 1e-9)  # inside the guard
+        solve_at_amplitude(mems(2.0), grid, 1.0 - 1e-9)  # above MEMS_M_MAX
     with pytest.raises(ValueError):
         continue_branch(mems(2.0), grid, 1.0)
     with pytest.raises(ValueError):
@@ -167,13 +170,11 @@ def test_warm_start_grid_mismatch():
         solve_at_amplitude(exponential(), g2, 0.1, guess=pt)
 
 
-def test_newton_diverged_carries_iterate(monkeypatch):
+def test_newton_diverged_raises(monkeypatch):
     grid = RadialGrid(3, 256)
     monkeypatch.setattr(branch_module, "MAX_NEWTON", 1)
-    with pytest.raises(NewtonDivergedError) as err:
+    with pytest.raises(NewtonDivergedError):
         solve_at_amplitude(exponential(), grid, 2.5)
-    assert err.value.last_iterate is not None
-    assert err.value.last_iterate.grid is grid
 
 
 def test_trivial_point_shape():

@@ -46,7 +46,7 @@ def power_branch():
 def single_point_branch(pt, second_lam=1.0):
     """Wrap a reference point so it is the (single) pre-fold sample."""
     filler = BranchPoint(pt.m + 0.01, second_lam, pt.u, pt.v, 0.0, 0, pt.grid)
-    return Branch([pt, filler], second_lam, False, pt.grid, "test")
+    return Branch([pt, filler], pt.grid)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from navierlab.families import (
@@ -94,6 +96,15 @@ def test_domain_errors():
         NonlinearityFamily("exp", 2.0)
     with pytest.raises(FamilyDomainError):
         NonlinearityFamily("cubic")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(
+    st.builds(power, st.floats(min_value=1.0, exclude_min=True, allow_infinity=False)),
+    st.builds(mems, st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+))
+def test_spec_round_trips(fam):
+    assert parse_family(fam.spec) == fam
 
 
 def test_parse_family_round_trip():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from navierlab.branch import BranchPoint, continue_branch, trivial_point
+from navierlab.branch import MEMS_M_MAX, BranchPoint, continue_branch, trivial_point
 from navierlab.families import exponential, mems, power
 from navierlab import stability
 from navierlab.radial import RadialGrid, minus_laplacian, volume_weights
@@ -242,6 +242,26 @@ def test_certified_shift_through_the_fold(fam, N, m_max, monkeypatch):
             assert abs(rep.mu1 - value) <= eps * t_norm
             assert abs(rep.mu1 - quotient) <= 1e-8 * max(abs(rep.mu1), 1.0)
             assert rep.iterations <= MAX_SHIFTED_ITERS
+
+
+def test_touchdown_mode_at_the_mems_limit():
+    # at m = MEMS_M_MAX the leftmost mode is localized at the touchdown
+    # point and near -8e13; a start vector barely overlapping it leaves
+    # inverse iteration on another mode unless the shift sits next to mu1.
+    # ||T||_1 is about |mu1| here, so the dense eigenvalue, exact to
+    # eps * ||T||_1, is good to about 2e-16 relative.
+    fam = mems(2.0)
+    branch = continue_branch(fam, RadialGrid(8, 64), MEMS_M_MAX)
+    last = branch.points[-1]
+    assert last.m == MEMS_M_MAX
+    value = dense_leftmost_mode(fam, last)[0]
+    assert value < 0.0
+    rep = None
+    for pt in branch.points:
+        rep = smallest_stability_eigenvalue(fam, pt, rep)
+    for mu1 in (rep.mu1, smallest_stability_eigenvalue(fam, last).mu1):
+        assert mu1 < 0.0
+        assert abs(mu1 - value) <= 1e-12 * abs(value)
 
 
 @pytest.mark.filterwarnings("error")
