@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from .families import FamilyDomainError, NonlinearityFamily
 from .radial import RadialGrid, BandedOperator, minus_laplacian
@@ -109,13 +109,13 @@ class Branch:
 
     @property
     def fold_index(self) -> int:
-        """Index of the sampled lambda maximum."""
-        return int(np.argmax(self.lambdas))
+        """Index of the sampled lambda maximum (0 with no points)."""
+        return int(np.argmax(self.lambdas)) if self.points else 0
 
     @property
     def fold_detected(self) -> bool:
         """Whether the sampled lambda maximum is interior to the branch."""
-        return bool(self.points) and 0 < self.fold_index < len(self.points) - 1
+        return 0 < self.fold_index < len(self.points) - 1
 
     @property
     def lambda_star_estimate(self) -> float:
@@ -152,14 +152,15 @@ class ContinuationError(RuntimeError):
         self.partial = partial
 
 
-def _residual(K: BandedOperator, family, u, v, lam, m):
+def _residual(K: BandedOperator, D, family, u, v, lam, m):
     """Residual blocks, f(u), and the rowwise-scaled max-norm (inf, with no
     blocks, where u leaves the family's domain or f(u) is not finite).
 
     Each block is measured against its own row magnitude: the two operator
-    rows against the stencil scale (an absolute max-norm of 1e-10 sits
-    below 1/h^2 rounding noise on fine grids), the amplitude constraint
-    against max(1, m) so it is enforced at its natural order-one scale.
+    rows against the stencil scale, with D = max|K.diag| (an absolute
+    max-norm of 1e-10 sits below 1/h^2 rounding noise on fine grids), the
+    amplitude constraint against max(1, m) so it is enforced at its natural
+    order-one scale.
     """
     try:
         fu = family.f(u)
@@ -172,7 +173,6 @@ def _residual(K: BandedOperator, family, u, v, lam, m):
     R1 = Ku - v
     R2 = Kv - lam * fu
     R3 = u[0] - m
-    D = float(np.max(np.abs(K.diag)))
     scale1 = max(1.0, D * float(np.max(np.abs(u))) + float(np.max(np.abs(v))))
     scale2 = max(1.0, D * float(np.max(np.abs(v))) + abs(lam) * float(np.max(np.abs(fu))))
     rn = max(
@@ -191,51 +191,62 @@ def _newton(K, family, grid, m, u, v, lam, config) -> BranchPoint:
     relative to the iterate — the residual alone floors at rounding level
     long before lambda has stabilized, while the update criterion pins
     (u, v, lambda) to about newton_tol in relative terms.
+
+    Each piece of work is done once: the Jacobian's static bands are laid
+    out once per call as a template for LAPACK ``gbsv``, each step copies
+    it, writes the one row that changes (-lambda f'(u)) and factors it, and
+    the residual of the trial the line search accepts starts the next step.
     """
     M = grid.size
-    sub, diag, sup = K.sub, K.diag, K.sup
+    D = float(np.max(np.abs(K.diag)))
+    # interleaved unknowns (u_0, v_0, u_1, v_1, ...): bandwidth (2, 2), in
+    # the gbsv layout (row 4 + i - j holds entry (i, j); rows 0-1 are the
+    # factorization's fill-in), Fortran-ordered so dgbsv factors it in place
+    template = np.zeros((7, 2 * M), order="F")
+    template[4, 0::2] = K.diag
+    template[4, 1::2] = K.diag
+    template[2, 2::2] = K.sup[:-1]
+    template[2, 3::2] = K.sup[:-1]
+    template[3, 1::2] = -1.0
+    template[6, 0:-2:2] = K.sub[1:]
+    template[6, 1:-1:2] = K.sub[1:]
+    res = _residual(K, D, family, u, v, lam, m)
+    if not np.isfinite(res[4]):
+        raise NewtonDivergedError(f"no finite residual at the start at m={m:g}")
     update_rel = None
     for it in range(MAX_NEWTON + 1):
-        R1, R2, R3, fu, rn = _residual(K, family, u, v, lam, m)
-        if not np.isfinite(rn):  # only a starting iterate can get here
-            raise NewtonDivergedError(f"no finite residual at the start at m={m:g}")
+        R1, R2, R3, fu, rn = res
         if rn <= config.newton_tol and update_rel is not None and update_rel <= config.newton_tol:
             return BranchPoint(m, float(lam), u, v, rn, it, grid)
         if it == MAX_NEWTON:
             break
-        # interleaved unknowns (u_0, v_0, u_1, v_1, ...): bandwidth (2, 2)
-        ab = np.zeros((5, 2 * M))
-        ab[2, 0::2] = diag
-        ab[2, 1::2] = diag
-        ab[0, 2::2] = sup[:-1]
-        ab[0, 3::2] = sup[:-1]
-        ab[1, 1::2] = -1.0
-        ab[3, 0::2] = -lam * family.fp(u)
-        ab[4, 0:-2:2] = sub[1:]
-        ab[4, 1:-1:2] = sub[1:]
-        rhs = np.zeros((2 * M, 2))
+        ab = template.copy(order="F")
+        ab[5, 0::2] = -lam * family.fp(u)
+        rhs = np.zeros((2 * M, 2), order="F")
         rhs[0::2, 0] = -R1
         rhs[1::2, 0] = -R2
         rhs[1::2, 1] = -fu  # border column: d(residual)/d(lambda)
-        sol = solve_banded((2, 2), ab, rhs, check_finite=False, overwrite_ab=True)
+        _, _, sol, info = dgbsv(2, 2, ab, rhs, overwrite_ab=True, overwrite_b=True)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
         y, z = sol[:, 0], sol[:, 1]
         # bordering: solve the rank-one-extended system via two banded solves
         dlam = (y[0] + R3) / z[0]
         dz = y - dlam * z
         du, dv = dz[0::2], dz[1::2]
         t = 1.0
-        accepted = False
-        while t >= 2.0 ** (-24):
+        while True:
+            if t < 2.0 ** (-24):
+                raise NewtonDivergedError(f"line search stalled at m={m:g}, residual {rn:.3e}")
             un = u + t * du
             vn = v + t * dv
             ln = lam + t * dlam
-            rn_new = _residual(K, family, un, vn, ln, m)[4]
-            if rn_new < rn * (1.0 - 1e-4 * t) or rn_new <= config.newton_tol:
-                accepted = True
+            res = _residual(K, D, family, un, vn, ln, m)
+            if res[4] < rn * (1.0 - 1e-4 * t) or res[4] <= config.newton_tol:
                 break
             t *= DAMPING
-        if not accepted:
-            raise NewtonDivergedError(f"line search stalled at m={m:g}, residual {rn:.3e}")
         update_rel = t * max(
             float(np.max(np.abs(du))) / max(1.0, float(np.max(np.abs(u)))),
             float(np.max(np.abs(dv))) / max(1.0, float(np.max(np.abs(v)))),
@@ -295,12 +306,14 @@ def continue_branch(
     """March the amplitude from one step up to m_max, warm-starting each solve.
 
     Every amplitude tried is min(last accepted m + step, m_max), with 0
-    before the first point.  Steps halve whenever Newton diverges and grow
-    after fast convergence, capped at MAX_STEP_FACTOR * amplitude_step.  A
-    Newton trial outside the family's domain is rejected by the line search
-    like any other, and the singular family is continued to at most
-    MEMS_M_MAX = 1 - 1e-4.  The bracket around the sampled lambda maximum
-    is then refined; the returned Branch derives the fold from its points.
+    before the first point.  Steps halve whenever Newton diverges, and halve
+    again while the retry would still be clamped to m_max (it would repeat
+    the failed solve from the same start); they grow after fast convergence,
+    capped at MAX_STEP_FACTOR * amplitude_step.  A Newton trial outside the
+    family's domain is rejected by the line search like any other, and the
+    singular family is continued to at most MEMS_M_MAX = 1 - 1e-4.  The
+    bracket around the sampled lambda maximum is then refined; the returned
+    Branch derives the fold from its points.
     """
     config = config or SolverConfig()
     if m_max <= 0.0:
@@ -333,12 +346,17 @@ def continue_branch(
                 lam = prev.lam + w * (prev.lam - prev2.lam)
             pt = _newton(K, family, grid, m_target, u, v, lam, config)
         except NewtonDivergedError as exc:
-            step *= 0.5
-            if step < step_floor:
-                raise ContinuationError(
-                    f"step fell below {step_floor:g} near m={m_target:g}: {exc}",
-                    Branch(points, grid),
-                ) from exc
+            # halve until the retry moves off a clamped m_max: the solve
+            # there would start from the same guess and fail the same way
+            while True:
+                step *= 0.5
+                if step < step_floor:
+                    raise ContinuationError(
+                        f"step fell below {step_floor:g} near m={m_target:g}: {exc}",
+                        Branch(points, grid),
+                    ) from exc
+                if m_last + step < m_max:
+                    break
             continue
         points.append(pt)
         if pt.newton_iters <= 4:

@@ -116,6 +116,7 @@ def test_branch_below_fold_is_monotone():
     empty = Branch([], grid)
     assert empty.fold_detected is False
     assert empty.lambda_star_estimate == 0.0
+    assert empty.pre_fold_points == []
 
 
 def test_mems_branch_terminates_before_touchdown():
@@ -149,17 +150,48 @@ def test_amplitude_preconditions():
 
 def test_no_amplitude_tried_past_m_max(monkeypatch):
     # the golden sweep's mems cell: a step that fails near touchdown is
-    # retried at the last accepted m plus the halved step, clamped to m_max
+    # retried at the last accepted m plus the halved step, clamped to m_max,
+    # and never from the same amplitude and start as a solve that failed
     tried = []
+    starts = []
     newton = branch_module._newton
 
-    def recording_newton(K, family, grid, m, *args):
+    def recording_newton(K, family, grid, m, u, v, lam, *args):
         tried.append(m)
-        return newton(K, family, grid, m, *args)
+        starts.append((m, u.tobytes(), lam))
+        return newton(K, family, grid, m, u, v, lam, *args)
 
     monkeypatch.setattr(branch_module, "_newton", recording_newton)
     continue_branch(mems(2.0), RadialGrid(4, 64), MEMS_M_MAX, SolverConfig(amplitude_step=0.1))
     assert tried and max(tried) <= MEMS_M_MAX
+    assert len(set(starts)) == len(starts)
+
+
+def test_one_residual_per_iterate(monkeypatch):
+    # the residual of the trial the line search accepts starts the next step
+    seen = []
+    residual = branch_module._residual
+
+    def recording_residual(*args):
+        u, v, lam, _ = args[-4:]
+        seen.append((u.tobytes(), v.tobytes(), lam))
+        return residual(*args)
+
+    monkeypatch.setattr(branch_module, "_residual", recording_residual)
+    pt = solve_at_amplitude(exponential(), RadialGrid(3, 256), 2.5)
+    assert pt.newton_iters > 1
+    assert len(set(seen)) == len(seen)
+
+
+def test_singular_jacobian_raises(monkeypatch):
+    # a zero pivot in the banded factorization surfaces as LinAlgError,
+    # which the command line maps to a compute failure
+    def singular_gbsv(kl, ku, ab, b, **kwargs):
+        return ab, np.zeros(ab.shape[1], dtype=np.int32), b, 1
+
+    monkeypatch.setattr(branch_module, "dgbsv", singular_gbsv)
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_at_amplitude(exponential(), RadialGrid(3, 64), 0.5)
 
 
 def test_warm_start_grid_mismatch():

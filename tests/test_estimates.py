@@ -89,6 +89,10 @@ def test_trivial_supremum_values():
     assert check_fprime_integral(fam, branch).values[0] == pytest.approx(vol, rel=1e-9)
 
 
+def test_empty_branch_tracks_nothing():
+    assert check_L2(exponential(), Branch([], RadialGrid(3, 16))).values == []
+
+
 # ---------------------------------------------------------------------------
 # certified branch points
 # ---------------------------------------------------------------------------
