@@ -20,7 +20,6 @@ from .bootstrap import (
     iterate_q,
     fixed_point,
     run_bootstrap,
-    iterate_dual,
     predict_regularity,
 )
 from .radial import (
@@ -56,7 +55,6 @@ from .estimates import (
     check_crucial_integrals,
     check_L2,
     check_fprime_integral,
-    classify_holder_criterion,
 )
 
 __version__ = "0.1.0"

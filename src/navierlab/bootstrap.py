@@ -10,25 +10,21 @@ Iterating this map produces a sequence that either converges monotonically
 to the fixed point (alpha-beta)*N/(N-4*beta) when alpha <= N/4, or passes
 N/4 after finitely many steps when alpha > N/4 -- and any exponent above
 N/4 yields a uniform L-infinity bound, i.e. a regular extremal solution.
-A companion (dual) recursion performs the same upgrade for -Delta(u) when a
-bound on f'(u) in L^q, q > N/4, is available:
 
-    q1 = N*q*q0 / (N*q0 + q*(N - 4*q0)),
-
-an increasing sequence that passes N*q/(4*q - N) in finitely many steps.
-
-``predict_regularity`` assembles the sufficient dimension conditions these
-recursions yield for each family into a single verdict, trying the sharp
-family-specific thresholds first and the generic growth-condition rules
-after.  All arithmetic is plain binary64; the iterates are smooth rational
-functions of the inputs and never need exact arithmetic.
+``predict_regularity`` reads the paper's result for each family off a
+table: e^t is regular for N <= 8, (1+t)^p for N < 8p/(p-1), and (1-t)^-p
+(p > 1, p != 3) for N <= 8p/(p+1).  ``regularity_from_growth`` is the
+general theorem for an arbitrary f.  The recursion is plain binary64; its
+iterates are smooth rational functions of the inputs and never need exact
+arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .families import NonlinearityFamily, gamma_limits
+from .families import NonlinearityFamily
 
 __all__ = [
     "RecursionDomainError",
@@ -37,9 +33,6 @@ __all__ = [
     "iterate_q",
     "fixed_point",
     "run_bootstrap",
-    "iterate_dual",
-    "dual_escape_threshold",
-    "dual_escapes",
     "RegularityVerdict",
     "predict_regularity",
     "regularity_from_growth",
@@ -166,35 +159,6 @@ def run_bootstrap(params: ExponentParams, max_steps: int = 100_000) -> Bootstrap
     return BootstrapTrace(seq, INCONCLUSIVE, fixed_point=fp)
 
 
-def iterate_dual(q0: float, q: float, N: int) -> float:
-    """One step of the dual recursion N*q*q0 / (N*q0 + q*(N-4*q0)).
-
-    Requires q > N/4.  The map has no positive fixed point: for q > N/4 the
-    iterates increase and the denominator vanishes as q0 approaches
-    N*q/(4*q-N), past which the recursion has done its job (the companion
-    predicate ``dual_escapes`` reports that).
-    """
-    if not q > N / 4.0:
-        raise RecursionDomainError("dual recursion requires q > N/4")
-    den = N * q0 + q * (N - 4.0 * q0)
-    if den <= 0.0:
-        raise RecursionDomainError(
-            f"nonpositive dual denominator {den:g} at q0={q0:g}"
-        )
-    return N * q * q0 / den
-
-
-def dual_escape_threshold(q: float, N: int) -> float:
-    """Exponent N*q/(4q-N) past which the dual recursion terminates."""
-    if not q > N / 4.0:
-        raise RecursionDomainError("dual recursion requires q > N/4")
-    return N * q / (4.0 * q - N)
-
-
-def dual_escapes(q0: float, q: float, N: int) -> bool:
-    return q0 > dual_escape_threshold(q, N)
-
-
 # ---------------------------------------------------------------------------
 # regularity predictor
 # ---------------------------------------------------------------------------
@@ -221,11 +185,13 @@ def regularity_from_growth(
     delta_liminf: float | None = None,
     gamma_limsup: float | None = None,
 ) -> tuple[str, str]:
-    """Generic sufficient conditions for a regular (non-singular) family.
+    """The paper's general theorem for an arbitrary regular f.
 
     Checked sharpest first: N < 8/gamma when the curvature-ratio limsup
     gamma is finite and positive, N <= 7 when the liminf is positive, and
-    the unconditional N <= 5.
+    the unconditional N <= 5.  ``predict_regularity`` does not consult it:
+    each family result implies it, and the rounded gamma = 1 - 1/p of a
+    power family would decide for a neighbouring exponent, not for p.
     """
     if gamma_limsup is not None and gamma_limsup > 0.0 and N < 8.0 / gamma_limsup:
         return REGULAR, RULE_GAMMA
@@ -239,32 +205,25 @@ def regularity_from_growth(
 def predict_regularity(family: NonlinearityFamily, N: int) -> RegularityVerdict:
     """Sufficient-condition verdict for the extremal solution of (family, N).
 
-    Family-specific sharp thresholds are applied before the generic growth
-    rules.  For the singular family the exponent p = 3 is excluded from the
-    threshold (the embedding step behind it degenerates there), and p <= 1
-    carries no implemented sufficient condition; both report ``unknown``.
+    One row per family result: exp for N <= 8, power for N < 8p/(p-1) (that
+    is, N <= 8 or p < N/(N-8)), mems for N <= 8p/(p+1) (that is, finite
+    p > 1, N < 8 and p >= N/(8-N)).  The mems exponent p = 3 is excluded
+    (the embedding step behind the threshold degenerates there).  Each test
+    compares p with a ratio of small integers, so binary64 rounding can
+    only turn a verdict to ``unknown``; it never forms 8p, which overflows,
+    or 1 - 1/p, which rounds.
     """
     if N < 2:
         raise RecursionDomainError("dimension N must be >= 2")
-    spec = family.spec
-    if family.kind == "mems":
-        p = family.p
-        if p == 3.0:
-            return RegularityVerdict(spec, N, UNKNOWN, RULE_MEMS_P3)
-        if p <= 1.0:
-            return RegularityVerdict(spec, N, UNKNOWN, RULE_NONE)
-        if N <= 8.0 * p / (p + 1.0):
-            return RegularityVerdict(spec, N, REGULAR, RULE_MEMS)
-        return RegularityVerdict(spec, N, UNKNOWN, RULE_NONE)
+    p = family.p
     if family.kind == "exp":
-        if N <= 8:
-            return RegularityVerdict(spec, N, REGULAR, RULE_EXP)
-    else:  # power
-        p = family.p
-        if N <= 8 or p < N / (N - 8.0):
-            return RegularityVerdict(spec, N, REGULAR, RULE_POWER)
-    lims = gamma_limits(family)
-    verdict, rule = regularity_from_growth(
-        N, delta_liminf=lims.delta_liminf, gamma_limsup=lims.gamma_limsup
-    )
-    return RegularityVerdict(spec, N, verdict, rule)
+        regular, rule = N <= 8, RULE_EXP
+    elif family.kind == "power":
+        regular, rule = N <= 8 or p < N / (N - 8.0), RULE_POWER
+    elif p == 3.0:
+        return RegularityVerdict(family.spec, N, UNKNOWN, RULE_MEMS_P3)
+    else:
+        regular, rule = 1.0 < p < math.inf and N < 8 and p >= N / (8.0 - N), RULE_MEMS
+    if regular:
+        return RegularityVerdict(family.spec, N, REGULAR, rule)
+    return RegularityVerdict(family.spec, N, UNKNOWN, RULE_NONE)

@@ -43,7 +43,6 @@ __all__ = [
     "check_crucial_integrals",
     "check_L2",
     "check_fprime_integral",
-    "classify_holder_criterion",
     "POINTWISE_BOUND",
     "ENERGY",
     "G_H",
@@ -248,16 +247,3 @@ def check_fprime_integral(family: NonlinearityFamily, branch: Branch) -> BranchS
         return integrate_radial(family.fp(pt.u) ** expo, grid, outer=boundary)
 
     return _track(FPRIME, branch, fp_pow)
-
-
-def classify_holder_criterion(family: NonlinearityFamily, alpha: float, N: int) -> bool:
-    """Whether a uniform L^alpha bound on f(u) forces sup u < 1.
-
-    For the singular family the sufficient exponent is
-    alpha >= (p+1) N / (4 p).
-    """
-    if not family.singular:
-        raise ValueError("the touchdown criterion applies to the singular family")
-    if not alpha > 1.0:
-        raise ValueError("needs alpha > 1")
-    return alpha >= (family.p + 1.0) * N / (4.0 * family.p)

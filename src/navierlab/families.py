@@ -294,20 +294,18 @@ def h_aux_grid(family: NonlinearityFamily, values: np.ndarray) -> np.ndarray:
 class GammaLimits(NamedTuple):
     gamma_limsup: float
     delta_liminf: float
-    singular: bool  # True when the limit is taken at touchdown (t -> 1)
 
 
 def gamma_limits(family: NonlinearityFamily) -> GammaLimits:
     """Limits of the curvature ratio f*f''/(f')^2.
 
     The ratio is constant for every family here, so limsup and liminf agree:
-    1 for exp, 1 - 1/p for power, (p+1)/p for mems (taken as t -> 1, flagged
-    singular).
+    1 for exp, 1 - 1/p for power, (p+1)/p for mems (taken as t -> 1).
     """
     if family.kind == "exp":
-        return GammaLimits(1.0, 1.0, False)
+        return GammaLimits(1.0, 1.0)
     if family.kind == "power":
         val = 1.0 - 1.0 / family.p
-        return GammaLimits(val, val, False)
+        return GammaLimits(val, val)
     val = (family.p + 1.0) / family.p
-    return GammaLimits(val, val, True)
+    return GammaLimits(val, val)

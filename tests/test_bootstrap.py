@@ -1,5 +1,8 @@
 """Exponent recursions: hand-computed steps, trichotomy, predictor table."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -123,45 +126,6 @@ def test_trichotomy_random_sample():
 
 
 # ---------------------------------------------------------------------------
-# dual recursion
-# ---------------------------------------------------------------------------
-
-
-def test_dual_hand_value():
-    # (q0 = N/(N-4), q = N/2, N = 8): N*q*q0/(N*q0 + q*(N-4*q0)) = 4
-    assert abs(bs.iterate_dual(2.0, 4.0, 8) - 4.0) < 1e-15
-
-
-def test_dual_increasing_until_threshold():
-    N, q = 5, 2.0
-    threshold = bs.dual_escape_threshold(q, N)
-    q0 = 1.0
-    seen = [q0]
-    for _ in range(100):
-        if bs.dual_escapes(seen[-1], q, N):
-            break
-        seen.append(bs.iterate_dual(seen[-1], q, N))
-    assert all(b > a for a, b in zip(seen, seen[1:]))
-    assert bs.dual_escapes(seen[-1], q, N) or seen[-1] > threshold * 0.99
-
-
-def test_dual_requires_supercritical_q():
-    with pytest.raises(bs.RecursionDomainError):
-        bs.iterate_dual(1.0, 1.0, 8)
-
-
-def test_dual_denominator_vanishes_at_threshold():
-    # the dual map has no positive fixed point: its denominator vanishes
-    # exactly at the escape threshold
-    N, q = 8, 4.0
-    thr = bs.dual_escape_threshold(q, N)
-    den = N * thr + q * (N - 4.0 * thr)
-    assert abs(den) < 1e-10
-    with pytest.raises(bs.RecursionDomainError):
-        bs.iterate_dual(thr, q, N)
-
-
-# ---------------------------------------------------------------------------
 # predictor
 # ---------------------------------------------------------------------------
 
@@ -206,6 +170,58 @@ def test_predictor_mems_subcritical_exponent():
     verdict = bs.predict_regularity(mems(0.5), 3)
     assert verdict.verdict == bs.UNKNOWN
     assert verdict.rule == bs.RULE_NONE
+
+
+def test_predictor_rounded_thresholds_are_unknown():
+    # each read `regular` when the threshold was formed in binary64: the
+    # strict power bound 8p/(p-1) through gamma = 1 - 1/p (1.25 and 1.2 are
+    # exactly on it), the mems bound 8p/(p+1) rounding to 8 or overflowing
+    for family, N in [(power(1.25), 40), (power(1.2), 48), (mems(1e16), 8), (mems(1e308), 9)]:
+        verdict = bs.predict_regularity(family, N)
+        assert (verdict.verdict, verdict.rule) == (bs.UNKNOWN, bs.RULE_NONE), (family.spec, N)
+    # no family result holds for an infinite exponent, which parse_family accepts
+    verdict = bs.predict_regularity(mems(math.inf), 5)
+    assert (verdict.verdict, verdict.rule) == (bs.UNKNOWN, bs.RULE_NONE)
+    # 1 - 1/p rounds to 1.0 here, so a gamma-based power row would lose N = 8
+    verdict = bs.predict_regularity(power(1e17), 8)
+    assert (verdict.verdict, verdict.rule) == (bs.REGULAR, bs.RULE_POWER)
+
+
+def _exact_regular(kind, q, N):
+    """The family results in exact arithmetic on the typed exponent q."""
+    if kind == "exp":
+        return N <= 8
+    if kind == "power":
+        return N * (q - 1) < 8 * q
+    return q > 1 and q != 3 and N * (q + 1) <= 8 * q
+
+
+def _typed(family):
+    """The decimal the user typed for the family's exponent, as a fraction."""
+    return None if family.p is None else Fraction(repr(family.p))
+
+
+def test_predictor_sound_against_exact_reference():
+    # every threshold exponent N/(N-8) and N/(8-N) with its neighbouring
+    # doubles, hand-typed boundary decimals and the extremes of the range
+    exponents = {1 + 1e-9, 5 / 3, 7.0, 1.25, 1.2, 4 / 3, 1.3333333333333333}
+    exponents |= {1e15, 1e16, 1e17, 1e300, 1e308}
+    exponents |= set(np.geomspace(1.001, 1e6, 24).tolist())
+    for r in [N / (N - 8) for N in range(9, 200, 4)] + [N / (8 - N) for N in range(2, 8)]:
+        exponents |= {r, math.nextafter(r, 0.0), math.nextafter(r, math.inf)}
+    families = [exponential()]
+    families += [power(p) for p in sorted(exponents) if p > 1.0]
+    families += [mems(p) for p in sorted(exponents)]
+    for family in families:
+        q = _typed(family)
+        for N in range(2, 200):
+            if bs.predict_regularity(family, N).verdict == bs.REGULAR:
+                assert _exact_regular(family.kind, q, N), (family.spec, N)
+    # the converse may fail by one ulp: 4/3 rounds down, so the typed
+    # 1.3333333333333333 is below the bound yet not below float(32/24)
+    family = power(1.3333333333333333)
+    assert _exact_regular(family.kind, _typed(family), 32)
+    assert bs.predict_regularity(family, 32).verdict == bs.UNKNOWN
 
 
 def test_generic_rules():

@@ -18,7 +18,6 @@ from navierlab.estimates import (
     check_fprime_integral,
     check_gH_estimate,
     check_pointwise_bound,
-    classify_holder_criterion,
     run_pointwise_suite,
 )
 from navierlab.families import exponential, mems, power
@@ -205,17 +204,6 @@ def test_fprime_rejects_gamma_out_of_range():
     branch = single_point_branch(trivial_point(grid))
     with pytest.raises(ValueError):
         check_fprime_integral(mems(0.5), branch)  # gamma = 3 not in (0, 2)
-
-
-def test_holder_criterion():
-    assert classify_holder_criterion(mems(2.0), 3.0, 8)
-    assert not classify_holder_criterion(mems(2.0), 2.9, 8)
-    # p = 3 is fine here: the exclusion concerns the embedding step only
-    assert classify_holder_criterion(mems(3.0), 4.0 / 3.0, 4)
-    with pytest.raises(ValueError):
-        classify_holder_criterion(mems(2.0), 1.0, 8)
-    with pytest.raises(ValueError):
-        classify_holder_criterion(exponential(), 3.0, 8)
 
 
 def test_report_metadata(exp_branch):

@@ -334,16 +334,15 @@ def test_derivative_growth_bound():
 
 
 def test_gamma_limits_values():
-    assert gamma_limits(exponential()) == (1.0, 1.0, False)
+    assert gamma_limits(exponential()) == (1.0, 1.0)
     for p in (1.5, 2.0, 4.0):
         lims = gamma_limits(power(p))
         assert abs(lims.gamma_limsup - (1.0 - 1.0 / p)) < 1e-15
         assert lims.gamma_limsup == lims.delta_liminf
-        assert not lims.singular
     for p in (1.5, 2.0, 3.0):
         lims = gamma_limits(mems(p))
         assert abs(lims.gamma_limsup - (p + 1.0) / p) < 1e-15
-        assert lims.singular
+        assert lims.gamma_limsup == lims.delta_liminf
 
 
 def test_gamma_limits_match_sampled_ratio():
