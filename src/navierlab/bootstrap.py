@@ -21,7 +21,6 @@ arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .families import NonlinearityFamily
@@ -206,9 +205,9 @@ def predict_regularity(family: NonlinearityFamily, N: int) -> RegularityVerdict:
     """Sufficient-condition verdict for the extremal solution of (family, N).
 
     One row per family result: exp for N <= 8, power for N < 8p/(p-1) (that
-    is, N <= 8 or p < N/(N-8)), mems for N <= 8p/(p+1) (that is, finite
-    p > 1, N < 8 and p >= N/(8-N)).  The mems exponent p = 3 is excluded
-    (the embedding step behind the threshold degenerates there).  Each test
+    is, N <= 8 or p < N/(N-8)), mems for N <= 8p/(p+1) (that is, p > 1,
+    N < 8 and p >= N/(8-N)).  The mems exponent p = 3 is excluded (the
+    embedding step behind the threshold degenerates there).  Each test
     compares p with a ratio of small integers, so binary64 rounding can
     only turn a verdict to ``unknown``; it never forms 8p, which overflows,
     or 1 - 1/p, which rounds.
@@ -223,7 +222,7 @@ def predict_regularity(family: NonlinearityFamily, N: int) -> RegularityVerdict:
     elif p == 3.0:
         return RegularityVerdict(family.spec, N, UNKNOWN, RULE_MEMS_P3)
     else:
-        regular, rule = 1.0 < p < math.inf and N < 8 and p >= N / (8.0 - N), RULE_MEMS
+        regular, rule = p > 1.0 and N < 8 and p >= N / (8.0 - N), RULE_MEMS
     if regular:
         return RegularityVerdict(family.spec, N, REGULAR, rule)
     return RegularityVerdict(family.spec, N, UNKNOWN, RULE_NONE)

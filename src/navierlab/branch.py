@@ -9,7 +9,9 @@ system
     -Delta_h u = v,   -Delta_h v = lambda f(u),   u(0) = m,
 
 by damped Newton iteration on the banded Jacobian, bordered by the lambda
-column and the constraint row.  Continuation marches m upward with adaptive
+column and the constraint row; LAPACK ``dgbsv`` factors it (taken from
+``navierlab._lapack``, which loads scipy's compiled LAPACK module without
+the ``scipy.linalg`` package).  Continuation marches m upward with adaptive
 steps and secant warm starts, then bisects the bracket around the sampled
 lambda maximum.
 
@@ -27,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
 
+from ._lapack import dgbsv
 from .families import FamilyDomainError, NonlinearityFamily
 from .radial import RadialGrid, BandedOperator, minus_laplacian
 

@@ -2,9 +2,9 @@
 
 Three closed-form families drive every computation in this package:
 
-* ``exp``          :  f(t) = e^t                (regular, superlinear)
-* ``power``  p > 1 :  f(t) = (1+t)^p            (regular, superlinear)
-* ``mems``   p > 0 :  f(t) = (1-t)^(-p) on [0,1) (singular at t = 1)
+* ``exp``                :  f(t) = e^t                (regular, superlinear)
+* ``power``  1 < p < inf :  f(t) = (1+t)^p            (regular, superlinear)
+* ``mems``   0 < p < inf :  f(t) = (1-t)^(-p) on [0,1) (singular at t = 1)
 
 The regular families are smooth, increasing and convex on their domain with
 f(0) = 1; the singular family blows up as t -> 1 (touchdown).  Besides
@@ -73,9 +73,9 @@ class NonlinearityFamily:
     """One nonlinearity with closed-form f, f', f'' and auxiliaries.
 
     ``kind`` is one of ``exp``, ``power``, ``mems``; ``p`` is the exponent
-    for the latter two (must be > 1 for power, > 0 for mems).  For mems the
-    admissible argument range is t < 1; evaluation never clamps, callers
-    must respect the touchdown bound themselves.
+    for the latter two (1 < p < inf for power, 0 < p < inf for mems).  For
+    mems the admissible argument range is t < 1; evaluation never clamps,
+    callers must respect the touchdown bound themselves.
     """
 
     kind: str
@@ -88,11 +88,11 @@ class NonlinearityFamily:
             if self.p is not None:
                 raise FamilyDomainError("exp family takes no exponent")
         elif self.kind == "power":
-            if self.p is None or not self.p > 1.0:
-                raise FamilyDomainError("power family requires p > 1")
+            if self.p is None or not 1.0 < self.p < math.inf:
+                raise FamilyDomainError("power family requires 1 < p < inf")
         else:
-            if self.p is None or not self.p > 0.0:
-                raise FamilyDomainError("mems family requires p > 0")
+            if self.p is None or not 0.0 < self.p < math.inf:
+                raise FamilyDomainError("mems family requires 0 < p < inf")
 
     # -- identification ----------------------------------------------------
 

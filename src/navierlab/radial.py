@@ -22,6 +22,9 @@ Radial integrals int_Omega phi dx = omega_{N-1} int phi(r) r^(N-1) dr use
 composite Simpson quadrature (with a 3/8 tail when the interval count is
 odd), fourth-order for smooth integrands.  Symbolic coefficients for
 Delta^2 r^s and Delta^2 (a log r) serve as oracles for the stencils.
+
+Solves against -Delta_h call LAPACK ``dgtsv`` (from ``navierlab._lapack``)
+on the three diagonals directly.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+
+from ._lapack import dgtsv
 
 __all__ = [
     "RadialGrid",
@@ -108,12 +112,14 @@ class BandedOperator:
         return y
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve against the operator by banded LU with partial pivoting."""
-        ab = np.zeros((3, self.size))
-        ab[0, 1:] = self.sup[:-1]
-        ab[1, :] = self.diag
-        ab[2, :-1] = self.sub[1:]
-        return solve_banded((1, 1), ab, np.asarray(rhs, dtype=float), check_finite=False)
+        """Solve against the operator by tridiagonal LU with partial pivoting
+        (LAPACK ``gtsv``, which copies its inputs)."""
+        *_, x, info = dgtsv(self.sub[1:], self.diag, self.sup[:-1], np.asarray(rhs, dtype=float))
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
+        return x
 
 
 def laplacian_matrix(grid: RadialGrid) -> BandedOperator:

@@ -15,8 +15,9 @@ T = W^(1/2) B W^(-1/2) is pentadiagonal.
 
 Every point takes the same path: a shift sigma is certified just left of
 the leftmost eigenvalue mu1, then shifted inverse power iteration runs on
-the banded Cholesky factor of T - sigma.  A factorization succeeds exactly
-when sigma < mu1 (to about eps ||T||).  The W-Rayleigh quotient of the
+the banded Cholesky factor of T - sigma (LAPACK ``dpbtrf``/``dpbtrs``
+from ``navierlab._lapack``).  A factorization succeeds exactly when
+sigma < mu1 (to about eps ||T||).  The W-Rayleigh quotient of the
 start vector, the previous point's eigenfunction along a branch and a
 positive bump otherwise, bounds mu1 from above and is the ceiling.  Trial
 shifts step left of the ceiling, each step BRACKET_GROWTH times the last,
@@ -41,8 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
+from ._lapack import dpbtrf, dpbtrs
 from .branch import BranchPoint
 from .families import NonlinearityFamily
 from .radial import minus_laplacian, volume_weights, RadialGrid

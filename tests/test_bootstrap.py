@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from navierlab import bootstrap as bs
-from navierlab.families import exponential, power, mems
+from navierlab.families import FamilyDomainError, exponential, power, mems
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +179,9 @@ def test_predictor_rounded_thresholds_are_unknown():
     for family, N in [(power(1.25), 40), (power(1.2), 48), (mems(1e16), 8), (mems(1e308), 9)]:
         verdict = bs.predict_regularity(family, N)
         assert (verdict.verdict, verdict.rule) == (bs.UNKNOWN, bs.RULE_NONE), (family.spec, N)
-    # no family result holds for an infinite exponent, which parse_family accepts
-    verdict = bs.predict_regularity(mems(math.inf), 5)
-    assert (verdict.verdict, verdict.rule) == (bs.UNKNOWN, bs.RULE_NONE)
+    # no family result holds for an infinite exponent, so no family takes one
+    with pytest.raises(FamilyDomainError):
+        mems(math.inf)
     # 1 - 1/p rounds to 1.0 here, so a gamma-based power row would lose N = 8
     verdict = bs.predict_regularity(power(1e17), 8)
     assert (verdict.verdict, verdict.rule) == (bs.REGULAR, bs.RULE_POWER)

@@ -55,6 +55,17 @@ def test_predict_bad_family(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["predict", "--family", "power:p=inf", "--N", "8"],
+    ["branch", "--family", "mems:p=inf", "--N", "3", "--n", "64", "--m-max", "0.5"],
+])
+def test_infinite_exponent_is_usage_error(argv, tmp_path, capsys):
+    # no family result holds for p = inf, and its f overflows at any u > 0
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "p < inf" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert main([]) == 2
     assert main(["predict"]) == 2

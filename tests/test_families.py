@@ -1,16 +1,20 @@
-"""Family evaluation, auxiliary functions, and their quadrature oracles."""
+"""Family evaluation, auxiliary functions and their quadrature oracles; the
+package's import footprint and its LAPACK binding."""
 
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from navierlab._lapack import load_flapack
 from navierlab.families import (
     FamilyDomainError,
     NonlinearityFamily,
@@ -112,7 +116,8 @@ def test_parse_family_round_trip():
         assert parse_family(spec).spec == parse_family(parse_family(spec).spec).spec
     assert parse_family("exp").kind == "exp"
     assert parse_family("power:p=2.5").p == 2.5
-    for bad in ("", "exp:p=1", "power", "power:q=2", "mems:p=abc", "weird"):
+    for bad in ("", "exp:p=1", "power", "power:q=2", "mems:p=abc", "weird", "power:p=inf",
+                "mems:p=inf"):
         with pytest.raises(FamilyDomainError):
             parse_family(bad)
 
@@ -267,15 +272,46 @@ def test_H_rejects_non_finite():
             h_aux_grid(exponential(), np.array([t]))
 
 
+# ---------------------------------------------------------------------------
+# import footprint and the LAPACK binding
+# ---------------------------------------------------------------------------
+
+
 def test_import_leaves_scipy_integrate_unloaded():
+    # nor the scipy.linalg package: only its compiled LAPACK module is loaded
     code = ("import sys, navierlab, navierlab.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', "
+            "'scipy.linalg'))))")
+    result = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                            text=True, check=True, timeout=120)
+    assert result.stdout.strip() == "['scipy.linalg._flapack']"
+
+
+def src_env():
+    """The environment with this checkout's ``src/`` first on PYTHONPATH."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    return env
+
+
+@pytest.mark.parametrize("order", ["navierlab._lapack, scipy.linalg.lapack",
+                                   "scipy.linalg.lapack, navierlab._lapack"])
+def test_lapack_binds_scipy_exports(order):
+    # the routines are scipy.linalg.lapack's own objects, whichever module is
+    # imported first; this fails loudly if scipy moves its compiled module
+    code = (f"import {order}; from navierlab import _lapack; "
+            "from scipy.linalg import lapack; "
+            "print([getattr(_lapack, n) is getattr(lapack, n) for n in _lapack.__all__])")
+    result = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                             text=True, check=True, timeout=120)
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.strip() == "[True, True, True, True]"
+
+
+def test_lapack_missing_module_names_directory(tmp_path):
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path))) as excinfo:
+        load_flapack(str(tmp_path))
+    assert scipy.__version__ in str(excinfo.value)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from navierlab.radial import (
     RadialGrid,
@@ -105,6 +106,21 @@ def test_operator_solve_round_trip():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(g.size)
     assert np.max(np.abs(K.solve(K.apply(x)) - x)) < 1e-8
+
+
+@pytest.mark.parametrize("N, n", [(3, 64), (8, 512)])
+def test_operator_solve_matches_solve_banded_bits(N, n):
+    # the direct LAPACK gtsv call is the routine solve_banded((1, 1), ...)
+    # dispatches to, so the solution keeps every bit
+    g = RadialGrid(N, n)
+    K = minus_laplacian(g)
+    ab = np.zeros((3, g.size))
+    ab[0, 1:] = K.sup[:-1]
+    ab[1, :] = K.diag
+    ab[2, :-1] = K.sub[1:]
+    rhs = np.random.default_rng(N).standard_normal(g.size)
+    expected = solve_banded((1, 1), ab, rhs, check_finite=False)
+    assert np.array_equal(K.solve(rhs), expected)
 
 
 # ---------------------------------------------------------------------------
