@@ -2,18 +2,18 @@
 
 Solutions are parametrized by the amplitude m = u(0) rather than by lambda,
 so the fold (the maximum of lambda along the minimal branch) needs no
-arclength machinery: lambda joins (u, v) as an unknown and the closing
-equation is the amplitude constraint.  Each point solves the first-order
-system
+arclength machinery: lambda joins u as an unknown and the closing equation
+is the amplitude constraint.  With K = -Delta_h (Dirichlet data gives u = 0,
+and Delta u = -K u = 0, on the boundary) each point solves
 
-    -Delta_h u = v,   -Delta_h v = lambda f(u),   u(0) = m,
+    K^2 u = lambda f(u),   u(0) = m,
 
-by damped Newton iteration on the banded Jacobian, bordered by the lambda
-column and the constraint row; LAPACK ``dgbsv`` factors it (taken from
-``navierlab._lapack``, which loads scipy's compiled LAPACK module without
-the ``scipy.linalg`` package).  Continuation marches m upward with adaptive
-steps and secant warm starts, then bisects the bracket around the sampled
-lambda maximum.
+by damped Newton iteration on B = K^2 - lambda diag f'(u), the operator
+whose spectrum decides semi-stability (``navierlab.stability``), bordered
+by the lambda column and the constraint row.  LAPACK ``dgbsv`` (from
+``navierlab._lapack``, without the ``scipy.linalg`` package init) factors
+it.  Continuation marches m upward with adaptive steps and secant warm
+starts, then bisects the bracket around the sampled lambda maximum.
 
 A ``Branch`` keeps only its points and grid and derives the rest from
 them by one rule: the fold is the sampled lambda maximum, detected when it
@@ -82,7 +82,7 @@ class SolverConfig:
 
 @dataclass
 class BranchPoint:
-    """One converged solution triple keyed by its amplitude."""
+    """One converged solution keyed by its amplitude, with v = K u = -Delta_h u."""
 
     m: float
     lam: float
@@ -154,80 +154,62 @@ class ContinuationError(RuntimeError):
         self.partial = partial
 
 
-def _residual(K: BandedOperator, D, family, u, v, lam, m):
-    """Residual blocks, f(u), and the rowwise-scaled max-norm (inf, with no
-    blocks, where u leaves the family's domain or f(u) is not finite).
+def _residual(K: BandedOperator, D, family, u, lam, m):
+    """Residual K(K u) - lambda f(u), its amplitude row, f(u), and the
+    rowwise-scaled max-norm (inf, with no residual, where u leaves the
+    family's domain or f(u) is not finite).
 
-    Each block is measured against its own row magnitude: the two operator
-    rows against the stencil scale, with D = max|K.diag| (an absolute
-    max-norm of 1e-10 sits below 1/h^2 rounding noise on fine grids), the
-    amplitude constraint against max(1, m) so it is enforced at its natural
-    order-one scale.
+    Two tridiagonal products evaluate the residual; the K^2 stencil would
+    cancel badly.  Its rows are measured against their binary64 rounding
+    scale D (D |u| + |K u|) + |lambda| |f(u)| in max-norms, D = max|K.diag|,
+    the amplitude constraint against max(1, m), its natural order-one scale.
     """
     try:
         fu = family.f(u)
     except FamilyDomainError:
-        return None, None, None, None, np.inf  # no f(u), so no residual to measure
+        return None, None, None, np.inf  # no f(u), so no residual to measure
     if not np.all(np.isfinite(fu)):
-        return None, None, None, fu, np.inf  # f overflowed: no residual to measure
+        return None, None, fu, np.inf  # f overflowed: no residual to measure
     Ku = K.apply(u)
-    Kv = K.apply(v)
-    R1 = Ku - v
-    R2 = Kv - lam * fu
-    R3 = u[0] - m
-    scale1 = max(1.0, D * float(np.max(np.abs(u))) + float(np.max(np.abs(v))))
-    scale2 = max(1.0, D * float(np.max(np.abs(v))) + abs(lam) * float(np.max(np.abs(fu))))
-    rn = max(
-        float(np.max(np.abs(R1))) / scale1,
-        float(np.max(np.abs(R2))) / scale2,
-        abs(R3) / max(1.0, abs(m)),
-    )
-    return R1, R2, R3, fu, rn
+    R = K.apply(Ku) - lam * fu
+    R_amp = u[0] - m
+    scale = max(1.0, D * (D * float(np.max(np.abs(u))) + float(np.max(np.abs(Ku))))
+                + abs(lam) * float(np.max(np.abs(fu))))
+    rn = max(float(np.max(np.abs(R))) / scale, abs(R_amp) / max(1.0, abs(m)))
+    return R, R_amp, fu, rn
 
 
-def _newton(K, family, grid, m, u, v, lam, config) -> BranchPoint:
-    """Damped bordered Newton on the augmented system at fixed amplitude.
+def _newton(K, family, grid, m, u, lam, config) -> BranchPoint:
+    """Damped bordered Newton on (u, lambda) at fixed amplitude.
 
     A point is accepted when the rowwise-scaled residual is below
     newton_tol *and* the last applied Newton update was below newton_tol
     relative to the iterate — the residual alone floors at rounding level
     long before lambda has stabilized, while the update criterion pins
-    (u, v, lambda) to about newton_tol in relative terms.
-
-    Each piece of work is done once: the Jacobian's static bands are laid
-    out once per call as a template for LAPACK ``gbsv``, each step copies
-    it, writes the one row that changes (-lambda f'(u)) and factors it, and
-    the residual of the trial the line search accepts starts the next step.
+    (u, lambda) to about newton_tol in relative terms.  The accepted point
+    carries v = K u.  Each step factors B (``K.square_bands`` with the
+    diagonal shifted) once for both columns of the bordered solve; a solve
+    that is not finite, or whose border pivot z[0] vanishes, fails the
+    step.  The accepted line-search trial's residual starts the next step.
     """
-    M = grid.size
     D = float(np.max(np.abs(K.diag)))
-    # interleaved unknowns (u_0, v_0, u_1, v_1, ...): bandwidth (2, 2), in
-    # the gbsv layout (row 4 + i - j holds entry (i, j); rows 0-1 are the
-    # factorization's fill-in), Fortran-ordered so dgbsv factors it in place
-    template = np.zeros((7, 2 * M), order="F")
-    template[4, 0::2] = K.diag
-    template[4, 1::2] = K.diag
-    template[2, 2::2] = K.sup[:-1]
-    template[2, 3::2] = K.sup[:-1]
-    template[3, 1::2] = -1.0
-    template[6, 0:-2:2] = K.sub[1:]
-    template[6, 1:-1:2] = K.sub[1:]
-    res = _residual(K, D, family, u, v, lam, m)
-    if not np.isfinite(res[4]):
+    res = _residual(K, D, family, u, lam, m)
+    if not np.isfinite(res[3]):
         raise NewtonDivergedError(f"no finite residual at the start at m={m:g}")
     update_rel = None
     for it in range(MAX_NEWTON + 1):
-        R1, R2, R3, fu, rn = res
+        R, R_amp, fu, rn = res
         if rn <= config.newton_tol and update_rel is not None and update_rel <= config.newton_tol:
-            return BranchPoint(m, float(lam), u, v, rn, it, grid)
+            return BranchPoint(m, float(lam), u, K.apply(u), rn, it, grid)
         if it == MAX_NEWTON:
             break
-        ab = template.copy(order="F")
-        ab[5, 0::2] = -lam * family.fp(u)
-        rhs = np.zeros((2 * M, 2), order="F")
-        rhs[0::2, 0] = -R1
-        rhs[1::2, 0] = -R2
-        rhs[1::2, 1] = -fu  # border column: d(residual)/d(lambda)
+        # bandwidth (2, 2) in the gbsv layout (row 4 + i - j holds entry
+        # (i, j); rows 0-1 are the factorization's fill-in), Fortran-ordered
+        # so dgbsv factors it in place
+        ab = np.zeros((7, grid.size), order="F")
+        ab[2:] = K.square_bands
+        ab[4] -= lam * family.fp(u)
+        rhs = -np.array([R, fu]).T  # Fortran-ordered; -f(u) = d(residual)/d(lambda)
         _, _, sol, info = dgbsv(2, 2, ab, rhs, overwrite_ab=True, overwrite_b=True)
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
@@ -235,33 +217,31 @@ def _newton(K, family, grid, m, u, v, lam, config) -> BranchPoint:
             raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
         y, z = sol[:, 0], sol[:, 1]
         # bordering: solve the rank-one-extended system via two banded solves
-        dlam = (y[0] + R3) / z[0]
-        dz = y - dlam * z
-        du, dv = dz[0::2], dz[1::2]
+        dlam = (float(y[0]) + R_amp) / float(z[0]) if z[0] != 0.0 else np.inf
+        if not (np.isfinite(dlam) and np.all(np.isfinite(sol))):
+            raise NewtonDivergedError(f"no finite Newton step at m={m:g}, residual {rn:.3e}")
+        du = y - dlam * z
         t = 1.0
         while True:
             if t < 2.0 ** (-24):
                 raise NewtonDivergedError(f"line search stalled at m={m:g}, residual {rn:.3e}")
             un = u + t * du
-            vn = v + t * dv
             ln = lam + t * dlam
-            res = _residual(K, D, family, un, vn, ln, m)
-            if res[4] < rn * (1.0 - 1e-4 * t) or res[4] <= config.newton_tol:
+            res = _residual(K, D, family, un, ln, m)
+            if res[3] < rn * (1.0 - 1e-4 * t) or res[3] <= config.newton_tol:
                 break
             t *= DAMPING
         update_rel = t * max(
             float(np.max(np.abs(du))) / max(1.0, float(np.max(np.abs(u)))),
-            float(np.max(np.abs(dv))) / max(1.0, float(np.max(np.abs(v)))),
             abs(dlam) / max(1.0, abs(lam)),
         )
-        u, v, lam = un, vn, ln
+        u, lam = un, ln
     raise NewtonDivergedError(f"no convergence in {MAX_NEWTON} iterations at m={m:g}")
 
 
 def _initial_guess(K, family, grid, m):
     """Cold start for the smallest amplitude: parabolic profile, fitted lambda."""
     u = m * (1.0 - grid.r**2)
-    v = K.apply(u)
     fu = family.f(u)
     if not np.all(np.isfinite(fu)):
         raise NewtonDivergedError(f"f(u) overflows at the initial guess at m={m:g}")
@@ -269,8 +249,8 @@ def _initial_guess(K, family, grid, m):
     # the same bits as the unscaled one wherever that one does not overflow
     e = int(np.frexp(np.max(np.abs(fu)))[1])
     g = np.ldexp(fu, -e)
-    lam = float(np.ldexp(float(K.apply(v) @ g) / float(g @ g), -e))
-    return u, v, max(lam, 1e-8)
+    lam = float(np.ldexp(float(K.apply(K.apply(u)) @ g) / float(g @ g), -e))
+    return u, max(lam, 1e-8)
 
 
 def solve_at_amplitude(
@@ -293,10 +273,10 @@ def solve_at_amplitude(
     if guess is not None:
         if guess.grid.key() != grid.key():
             raise ValueError("warm-start point lives on a different grid")
-        u, v, lam = guess.u.copy(), guess.v.copy(), guess.lam
+        u, lam = guess.u.copy(), guess.lam
     else:
-        u, v, lam = _initial_guess(K, family, grid, m)
-    return _newton(K, family, grid, m, u, v, lam, config)
+        u, lam = _initial_guess(K, family, grid, m)
+    return _newton(K, family, grid, m, u, lam, config)
 
 
 def continue_branch(
@@ -335,18 +315,16 @@ def continue_branch(
             break
         try:
             if not points:
-                u, v, lam = _initial_guess(K, family, grid, m_target)
+                u, lam = _initial_guess(K, family, grid, m_target)
             elif len(points) == 1:
-                prev = points[0]
-                u, v, lam = prev.u.copy(), prev.v.copy(), prev.lam
+                u, lam = points[0].u.copy(), points[0].lam
             else:
                 # secant predictor through the last two points
                 prev2, prev = points[-2:]
                 w = (m_target - prev.m) / (prev.m - prev2.m)
                 u = prev.u + w * (prev.u - prev2.u)
-                v = prev.v + w * (prev.v - prev2.v)
                 lam = prev.lam + w * (prev.lam - prev2.lam)
-            pt = _newton(K, family, grid, m_target, u, v, lam, config)
+            pt = _newton(K, family, grid, m_target, u, lam, config)
         except NewtonDivergedError as exc:
             # halve until the retry moves off a clamped m_max: the solve
             # there would start from the same guess and fail the same way
@@ -394,7 +372,7 @@ def _refine_fold_bracket(K, family, grid, config, points) -> None:
             m_new = 0.5 * (mid.m + right.m)
             insert_at = k + 1
         try:
-            pt = _newton(K, family, grid, m_new, mid.u.copy(), mid.v.copy(), mid.lam, config)
+            pt = _newton(K, family, grid, m_new, mid.u.copy(), mid.lam, config)
         except NewtonDivergedError:
             return
         points.insert(insert_at, pt)

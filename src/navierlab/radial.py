@@ -24,13 +24,15 @@ odd), fourth-order for smooth integrands.  Symbolic coefficients for
 Delta^2 r^s and Delta^2 (a log r) serve as oracles for the stencils.
 
 Solves against -Delta_h call LAPACK ``dgtsv`` (from ``navierlab._lapack``)
-on the three diagonals directly.
+on the three diagonals directly.  ``minus_laplacian`` and ``volume_weights``
+are built once per grid and shared, read-only, with every later caller.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -66,7 +68,7 @@ class RadialGrid:
     dim_N: int
     n: int
     h: float = field(init=False)
-    r: np.ndarray = field(init=False, repr=False)
+    r: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim_N < 2:
@@ -121,6 +123,21 @@ class BandedOperator:
             raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
         return x
 
+    @cached_property
+    def square_bands(self) -> np.ndarray:
+        """The five diagonals of the operator's square in LAPACK band storage
+        (row 2 + i - j holds entry (i, j)); computed once, read-only."""
+        sub, diag, sup = self.sub, self.diag, self.sup
+        bands = np.zeros((5, len(diag)))
+        bands[0, 2:] = sup[:-2] * sup[1:-1]
+        bands[1, 1:] = sup[:-1] * (diag[:-1] + diag[1:])
+        bands[2] = diag * diag
+        bands[2, :-1] += sup[:-1] * sub[1:]
+        bands[2, 1:] += sub[1:] * sup[:-1]
+        bands[3, :-1] = sub[1:] * (diag[:-1] + diag[1:])
+        bands[4, :-2] = sub[2:] * sub[1:-1]
+        return _read_only(bands)
+
 
 def laplacian_matrix(grid: RadialGrid) -> BandedOperator:
     """Discrete radial Laplacian Delta_h on the active nodes (flux form)."""
@@ -142,10 +159,17 @@ def laplacian_matrix(grid: RadialGrid) -> BandedOperator:
     return BandedOperator(sub, diag, sup)
 
 
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
+
+
+@lru_cache(maxsize=8)
 def minus_laplacian(grid: RadialGrid) -> BandedOperator:
-    """-Delta_h, the positive-definite form used by the solvers."""
+    """-Delta_h, the positive-definite form used by the solvers.  Built once
+    per grid and shared by every later call, so its arrays are read-only."""
     L = laplacian_matrix(grid)
-    return BandedOperator(-L.sub, -L.diag, -L.sup)
+    return BandedOperator(_read_only(-L.sub), _read_only(-L.diag), _read_only(-L.sup))
 
 
 def unit_sphere_area(N: int) -> float:
@@ -153,6 +177,7 @@ def unit_sphere_area(N: int) -> float:
     return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
 
 
+@lru_cache(maxsize=8)
 def volume_weights(grid: RadialGrid) -> np.ndarray:
     """Cell-integral weights of r^(N-1) dx on active nodes (times sphere area).
 
@@ -160,14 +185,14 @@ def volume_weights(grid: RadialGrid) -> np.ndarray:
     centered at the nodes (half cell at the center).  These are the weights
     in which the flux-form Laplacian is exactly self-adjoint; quadrature
     accuracy is O(h^2), sufficient for inner products and eigenvalue work.
-    For high-order integrals use ``integrate_radial``.
+    For high-order integrals use ``integrate_radial``.  Shared, read-only.
     """
     N, h, r = grid.dim_N, grid.h, grid.r
     w = np.zeros(grid.size)
     w[0] = (h / 2.0) ** N / N
     ri = r[1:]
     w[1:] = ((ri + h / 2.0) ** N - (ri - h / 2.0) ** N) / N
-    return unit_sphere_area(N) * w
+    return _read_only(unit_sphere_area(N) * w)
 
 
 def _simpson_weights(npts: int, h: float) -> np.ndarray:

@@ -10,8 +10,9 @@ with K = -Delta_h, W the r^(N-1) cell-quadrature weights and
 F' = diag(f'(u)); since W K is symmetric (flux-form stencil) the form
 operator reduces to the plain matrix B = K^2 - lambda F', with the second
 boundary condition emerging naturally because the form never samples
-Delta psi at the boundary node.  Its symmetric similarity transform
-T = W^(1/2) B W^(-1/2) is pentadiagonal.
+Delta psi at the boundary node.  B is the branch Newton Jacobian too, and
+both scale the one shared ``K.square_bands``: its symmetric similarity
+transform T = W^(1/2) B W^(-1/2) is pentadiagonal.
 
 Every point takes the same path: a shift sigma is certified just left of
 the leftmost eigenvalue mu1, then shifted inverse power iteration runs on
@@ -82,14 +83,9 @@ def _stability_bands(K, s, lam, fpu):
     """Upper bands of T = S (K^2 - lam F') S^(-1), S = diag(s) = W^(1/2), in
     LAPACK storage, exactly symmetric because W K is, plus the one-norm of T
     (the absolute accuracy scale of any factorization or bisection on T)."""
-    sub, diag, sup = K.sub, K.diag, K.sup
-    M = len(diag)
-    upper = np.zeros((3, M))
-    upper[0, 2:] = sup[:-2] * sup[1:-1] * s[:-2] / s[2:]
-    upper[1, 1:] = sup[:-1] * (diag[:-1] + diag[1:]) * s[:-1] / s[1:]
-    upper[2, :] = diag * diag
-    upper[2, :-1] += sup[:-1] * sub[1:]
-    upper[2, 1:] += sub[1:] * sup[:-1]
+    upper = K.square_bands[:3].copy()
+    upper[0, 2:] = upper[0, 2:] * s[:-2] / s[2:]
+    upper[1, 1:] = upper[1, 1:] * s[:-1] / s[1:]
     upper[2, :] -= lam * fpu
     colsum = np.abs(upper[2, :])
     colsum[:-1] += np.abs(upper[1, 1:])

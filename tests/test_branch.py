@@ -15,7 +15,7 @@ from navierlab.branch import (
     trivial_point,
 )
 from navierlab.families import exponential, mems, power
-from navierlab.radial import RadialGrid, solve_navier_biharmonic
+from navierlab.radial import RadialGrid, minus_laplacian, solve_navier_biharmonic
 
 
 class ConstantSource:
@@ -107,6 +107,14 @@ def test_branch_positivity_pre_fold(exp_branch):
         assert np.min(pt.u) >= -1e-8 and np.min(pt.v) >= -1e-8
 
 
+def test_points_carry_v_equal_to_K_u(exp_branch):
+    # v is no Newton unknown: each accepted point sets it to K u
+    _, branch = exp_branch
+    K = minus_laplacian(branch.grid)
+    for pt in branch.points:
+        assert np.array_equal(pt.v, K.apply(pt.u))
+
+
 def test_branch_below_fold_is_monotone():
     grid = RadialGrid(3, 256)
     branch = continue_branch(exponential(), grid, 0.8)  # fold sits near 1.66
@@ -156,10 +164,10 @@ def test_no_amplitude_tried_past_m_max(monkeypatch):
     starts = []
     newton = branch_module._newton
 
-    def recording_newton(K, family, grid, m, u, v, lam, *args):
+    def recording_newton(K, family, grid, m, u, lam, *args):
         tried.append(m)
         starts.append((m, u.tobytes(), lam))
-        return newton(K, family, grid, m, u, v, lam, *args)
+        return newton(K, family, grid, m, u, lam, *args)
 
     monkeypatch.setattr(branch_module, "_newton", recording_newton)
     continue_branch(mems(2.0), RadialGrid(4, 64), MEMS_M_MAX, SolverConfig(amplitude_step=0.1))
@@ -173,8 +181,8 @@ def test_one_residual_per_iterate(monkeypatch):
     residual = branch_module._residual
 
     def recording_residual(*args):
-        u, v, lam, _ = args[-4:]
-        seen.append((u.tobytes(), v.tobytes(), lam))
+        u, lam, _ = args[-3:]
+        seen.append((u.tobytes(), lam))
         return residual(*args)
 
     monkeypatch.setattr(branch_module, "_residual", recording_residual)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from navierlab import radial
 from navierlab.cli import main
 
 
@@ -149,6 +150,23 @@ def test_branch_deterministic(tmp_path, capsys):
         assert read(os.path.join(out, name), "rb") == payload, name
 
 
+def test_branch_builds_the_laplacian_once(tmp_path, capsys, monkeypatch):
+    # Newton and every point's stability certificate share one -Delta_h
+    calls = []
+    build = radial.laplacian_matrix
+
+    def counting(grid):
+        calls.append(grid.key())
+        return build(grid)
+
+    monkeypatch.setattr(radial, "laplacian_matrix", counting)
+    radial.minus_laplacian.cache_clear()
+    code, _ = run(capsys, "branch", "--family", "exp", "--N", "3", "--n", "64",
+                  "--m-max", "2.2", "--amplitude-step", "0.1", "--out", str(tmp_path / "b"))
+    assert code == 0
+    assert 1 <= len(calls) <= 2
+
+
 def test_branch_dump_fields(tmp_path, capsys):
     out = str(tmp_path / "fields")
     code, _ = run(
@@ -260,14 +278,26 @@ def test_run_without_fold_is_inconclusive(command, artifact, tmp_path, capsys):
 @pytest.mark.parametrize("command, artifact", [("branch", "branch_exp_N3.json"),
                                                ("verify", "verify_exp_N3.json")])
 def test_partial_branch_is_kept_and_flagged(command, artifact, tmp_path, capsys):
-    # far past the fold Newton stalls near m = 157; the points before are kept
+    # far past the fold e^u overflows binary64 near m = 709.8, so no Newton
+    # step there is finite; the points before are kept
     out = str(tmp_path / "partial")
     code, _ = run(capsys, command, "--family", "exp", "--N", "3", "--n", "64",
-                  "--m-max", "200", "--amplitude-step", "1", "--out", out)
+                  "--m-max", "800", "--amplitude-step", "1", "--out", out)
     assert code == 4
     summary = json.loads(read(os.path.join(out, artifact)))
     assert summary["status"] == "partial"
     assert summary["fold_detected"] is True
+
+
+def test_no_stall_at_the_rounding_floor(tmp_path, capsys):
+    # far past the fold the scaled residual sits near its rounding floor;
+    # Newton once stalled there at m = 157.14 (residual 1.2e-7)
+    out = str(tmp_path / "floor")
+    code, stdout = run(capsys, "branch", "--family", "exp", "--N", "3", "--n", "64",
+                       "--m-max", "200", "--amplitude-step", "1", "--out", out)
+    assert code == 0
+    summary = json.loads(stdout)
+    assert summary["status"] == "ok" and summary["fold_detected"] is True
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +447,13 @@ def test_failure_exit_codes(case, tmp_path, capsys):
 # or a domain error, with the exit code and stderr prefix they end with:
 # - exp at 700 overflowed f(u) @ f(u) in the initial-guess fit, at 800 e^u;
 # - power at 1e200 overflowed (1 + u)^p;
-# - power:p=3.5 in N = 5 took a Newton trial with u <= -1.
+# - power:p=3.5 in N = 5 took a Newton trial with u <= -1;
+# - exp marched in unit steps to 800 reaches e^u's overflow near m = 709.8,
+#   where a Newton solve is no longer finite.
 LARGE_FIRST_AMPLITUDES = {
     "700-3-inconclusive:": (("exp", "3", "700", "700"), 3, "inconclusive:"),
     "800-4-compute failure:": (("exp", "3", "800", "800"), 4, "compute failure:"),
+    "800-step1-4-compute failure:": (("exp", "3", "800", "1"), 4, "compute failure:"),
     "power-1e200-4-compute failure:": (("power:p=2", "3", "1e200", "1e200"), 4,
                                        "compute failure:"),
     "power-1e5-3-inconclusive:": (("power:p=3.5", "5", "1e6", "1e5"), 3, "inconclusive:"),

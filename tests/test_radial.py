@@ -123,6 +123,35 @@ def test_operator_solve_matches_solve_banded_bits(N, n):
     assert np.array_equal(K.solve(rhs), expected)
 
 
+@pytest.mark.parametrize("N", [3, 8])
+def test_square_bands_match_dense_square(N):
+    # row 2 + i - j of the bands holds entry (i, j) of K^2; the corners no
+    # entry maps to stay zero
+    g = RadialGrid(N, 16)
+    K = minus_laplacian(g)
+    dense = np.diag(K.diag) + np.diag(K.sub[1:], -1) + np.diag(K.sup[:-1], 1)
+    square = dense @ dense
+    bands = K.square_bands
+    from_bands = np.zeros_like(square)
+    for i in range(g.size):
+        for j in range(max(0, i - 2), min(g.size, i + 3)):
+            from_bands[i, j] = bands[2 + i - j, j]
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(from_bands - square)) <= 4.0 * eps * np.max(np.abs(square))
+    assert not (bands[0, :2].any() or bands[1, 0] or bands[3, -1] or bands[4, -2:].any())
+
+
+def test_operator_and_weights_built_once_per_grid():
+    g = RadialGrid(5, 32)
+    K, W = minus_laplacian(g), volume_weights(g)
+    assert minus_laplacian(RadialGrid(5, 32)) is K
+    assert volume_weights(RadialGrid(5, 32)) is W
+    assert K.square_bands is K.square_bands
+    # shared, so nobody may write to them
+    for x in (K.sub, K.diag, K.sup, K.square_bands, W):
+        assert not x.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # integration
 # ---------------------------------------------------------------------------
