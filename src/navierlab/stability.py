@@ -10,9 +10,9 @@ with K = -Delta_h, W the r^(N-1) cell-quadrature weights and
 F' = diag(f'(u)); since W K is symmetric (flux-form stencil) the form
 operator reduces to the plain matrix B = K^2 - lambda F', with the second
 boundary condition emerging naturally because the form never samples
-Delta psi at the boundary node.  B is the branch Newton Jacobian too, and
-both scale the one shared ``K.square_bands``: its symmetric similarity
-transform T = W^(1/2) B W^(-1/2) is pentadiagonal.
+Delta psi at the boundary node.  B is also the branch Newton Jacobian, and
+both start from the one shared ``K.square_bands``.  The symmetric
+similarity transform T = W^(1/2) B W^(-1/2) is pentadiagonal.
 
 Every point takes the same path: a shift sigma is certified just left of
 the leftmost eigenvalue mu1, then shifted inverse power iteration runs on

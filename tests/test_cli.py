@@ -290,8 +290,8 @@ def test_partial_branch_is_kept_and_flagged(command, artifact, tmp_path, capsys)
 
 
 def test_no_stall_at_the_rounding_floor(tmp_path, capsys):
-    # far past the fold the scaled residual sits near its rounding floor;
-    # Newton once stalled there at m = 157.14 (residual 1.2e-7)
+    # far past the fold (m = 157 and beyond) the residual sits near its
+    # rounding floor, and continuation must still reach m_max
     out = str(tmp_path / "floor")
     code, stdout = run(capsys, "branch", "--family", "exp", "--N", "3", "--n", "64",
                        "--m-max", "200", "--amplitude-step", "1", "--out", out)
