@@ -8,12 +8,15 @@ config file (with ``#`` comments) can hold any option; command-line flags
 override it, and unknown keys are errors.  The fields of ``RunConfig`` are
 the config schema.
 
-branch, verify and every sweep cell run through one cell runner, and one
-failure table (``_status`` and ``_EXIT``) gives every outcome its status and
-exit code: 0 success, 2 usage/config error or estimates not applicable,
-3 inconclusive (a bootstrap classification, or a branch whose sampled
-lambda maximum sits at one of its ends, so no fold was seen), 4 compute
-failure (a partial branch is kept and flagged).
+branch, verify and every sweep cell run one pipeline: validate, compute,
+write.  Every cell's config becomes its typed inputs (family, grid, solver
+settings, effective m_max) before any cell runs; a cell then computes all its
+command reports, settles its final status and only then writes artifacts that
+carry it.  One failure table (``_status`` and ``_EXIT``) gives every outcome
+its status and exit code: 0 success, 2 usage/config error or estimates not
+applicable, 3 inconclusive (a bootstrap classification, or a branch whose
+sampled lambda maximum sits at one of its ends, so no fold was seen), 4
+compute failure (a partial branch is kept and flagged).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from typing import get_type_hints
 
@@ -39,7 +42,7 @@ from .estimates import (
     check_fprime_integral,
     run_pointwise_suite,
 )
-from .families import FamilyDomainError, parse_family
+from .families import FamilyDomainError, NonlinearityFamily, parse_family
 from .radial import RadialGrid, field_rows
 from .stability import EigenIterationError, smallest_stability_eigenvalue
 
@@ -77,10 +80,6 @@ def _status(exc: BaseException) -> str:
         return "partial"  # the solved points are kept
     if isinstance(exc, _COMPUTE_ERRORS):
         return "compute-failure"
-    if isinstance(exc, FamilyDomainError):
-        # past validation it comes from the estimates' hypotheses: mems p <= 1,
-        # or u outside the auxiliary functions' domain (u >= 0, u < 1 for mems)
-        return "not-applicable"
     return "error"  # bad input or an unusable output path
 
 
@@ -141,10 +140,10 @@ def _write_atomic(path: str, text: str) -> None:
 @dataclass
 class RunConfig:
     """One run's settings.  Each field is a config key and a key of the
-    summaries' ``config`` dict, under its ``key`` metadata if it has one."""
+    summaries' ``config`` dict."""
 
     family: str = "exp"
-    dim_N: int = field(default=3, metadata={"key": "N"})
+    N: int = 3
     n: int = 2048
     m_max: float = 6.0
     tol: float = 1e-10
@@ -153,21 +152,13 @@ class RunConfig:
     jobs: int = 1
     dump_fields: bool = False
 
-    def as_dict(self) -> dict:
-        return {_key(f): getattr(self, f.name) for f in fields(self)}
-
-
-def _key(f) -> str:
-    return f.metadata.get("key", f.name)
-
 
 # sweep-only keys, comma-separated lists kept as text until the grid is built
 _SWEEP_KEYS = ("families", "dims")
 
 
 def _parse_config_file(path: str) -> dict:
-    hints = get_type_hints(RunConfig)
-    types = {_key(f): hints[f.name] for f in fields(RunConfig)} | dict.fromkeys(_SWEEP_KEYS, str)
+    types = get_type_hints(RunConfig) | dict.fromkeys(_SWEEP_KEYS, str)
     values: dict = {}
     with open(path) as handle:
         for lineno, raw in enumerate(handle, 1):
@@ -197,13 +188,12 @@ def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
     Returns the run config and the sweep-only keys that are set.
     """
     values = _parse_config_file(args.config) if args.config else {}
-    attrs = {_key(f): f.name for f in fields(RunConfig)}
-    for key in (*attrs, *_SWEEP_KEYS):
-        flag = getattr(args, attrs.get(key, key), None)
+    for key in (*(f.name for f in fields(RunConfig)), *_SWEEP_KEYS):
+        flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
     lists = {key: values.pop(key) for key in _SWEEP_KEYS if key in values}
-    return RunConfig(**{attrs[key]: val for key, val in values.items()}), lists
+    return RunConfig(**values), lists
 
 
 def _parse_dims(spec: str) -> list[int]:
@@ -220,24 +210,32 @@ def _parse_dims(spec: str) -> list[int]:
     return sorted(set(dims))
 
 
-def _effective_m_max(family, m_max: float) -> float:
-    """The amplitude the continuation runs to: m_max, clamped for mems."""
-    return min(m_max, MEMS_M_MAX) if family.singular else m_max
+@dataclass(frozen=True)
+class _Cell:
+    """One validated (family, N) job: its canonical config and typed inputs."""
+
+    cfg: RunConfig
+    family: NonlinearityFamily
+    grid: RadialGrid
+    solver: SolverConfig
+    m_max: float  # the amplitude the continuation runs to: m_max, clamped for mems
 
 
-def _validate_run_config(cfg: RunConfig) -> None:
+def _validate(cfg: RunConfig) -> _Cell:
     """Fail fast on bad values before any compute starts."""
     family = parse_family(cfg.family)
-    RadialGrid(cfg.dim_N, cfg.n)
-    SolverConfig(newton_tol=cfg.tol, amplitude_step=cfg.amplitude_step)
+    grid = RadialGrid(cfg.N, cfg.n)
+    solver = SolverConfig(newton_tol=cfg.tol, amplitude_step=cfg.amplitude_step)
     if not 0.0 < cfg.m_max < math.inf:
         raise ValueError("m_max must be positive and finite")
-    steps = _effective_m_max(family, cfg.m_max) / cfg.amplitude_step
+    m_max = min(cfg.m_max, MEMS_M_MAX) if family.singular else cfg.m_max
+    steps = m_max / cfg.amplitude_step
     if steps > MAX_CONTINUATION_STEPS:
         raise ValueError(f"m_max / amplitude_step = {steps:g} exceeds the limit of "
                          f"{MAX_CONTINUATION_STEPS} continuation steps")
     if cfg.jobs < 1:
         raise ValueError("jobs must be >= 1")
+    return _Cell(replace(cfg, family=family.spec), family, grid, solver, m_max)
 
 
 def _family_tag(spec: str) -> str:
@@ -245,7 +243,7 @@ def _family_tag(spec: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the cell runner shared by branch, verify and sweep
+# the cell pipeline shared by branch, verify and sweep
 # ---------------------------------------------------------------------------
 
 _BRANCH_HEADER = "m,lambda,u_center,max_u,mu1,residual_norm,newton_iters"
@@ -254,132 +252,103 @@ _SWEEP_COLUMNS = ("family", "N", "status", "lambda_star", "fold_detected", "verd
                   "estimates_ok")
 
 
-def _write_branch_artifacts(cfg: RunConfig, family, branch: Branch, status: str,
-                            m_max: float) -> dict:
-    tag = f"{_family_tag(cfg.family)}_N{cfg.dim_N}"
-    rows = []
+def _mu1_column(family, branch: Branch) -> list[float]:
+    column = []
     report = None  # each report's eigenfunction starts the next point
     for pt in branch.points:
         report = smallest_stability_eigenvalue(family, pt, report)
-        rows.append((pt.m, pt.lam, pt.u[0], max(pt.u), report.mu1, pt.residual_norm,
-                     pt.newton_iters))
-    _write_atomic(os.path.join(cfg.out, f"branch_{tag}.csv"), _csv_text(_BRANCH_HEADER, rows))
-    summary = {
-        "family": family.spec,
-        "N": cfg.dim_N,
-        "n": cfg.n,
-        "lambda_star_estimate": branch.lambda_star_estimate,
-        "fold_detected": branch.fold_detected,
-        "points": len(branch.points),
-        "status": status,
-        "m_max_effective": m_max,
-        "config": cfg.as_dict(),
-    }
-    _write_atomic(os.path.join(cfg.out, f"branch_{tag}.json"), _json_text(summary))
-    if cfg.dump_fields:
-        for i, pt in enumerate(branch.points):
-            _write_atomic(
-                os.path.join(cfg.out, f"field_{tag}_{i:04d}.csv"),
-                _csv_text("r,value", field_rows(pt.u, pt.grid)),
-            )
-        _write_atomic(
-            os.path.join(cfg.out, f"grid_{tag}.json"),
-            _json_text(branch.grid.json_header()),
-        )
-    return summary
-
-
-def _estimate_csv(family, branch: Branch) -> tuple[str, bool]:
-    """The estimates CSV and whether every estimate held; with no pre-fold
-    point none was evaluated, which is not a pass."""
-    reports = [rep for pt in branch.pre_fold_points for rep in run_pointwise_suite(family, pt)]
-    rows = ((rep.name, rep.m, rep.lam, rep.lhs, rep.rhs, rep.margin, rep.satisfied)
-            for rep in reports)
-    return _csv_text(_ESTIMATE_HEADER, rows), bool(reports) and all(
-        rep.satisfied for rep in reports)
+        column.append(report.mu1)
+    return column
 
 
 def _suprema_summary(family, branch: Branch) -> dict:
-    out: dict = {}
-    entries = []
-    if not family.singular:
-        ratio, mass = check_crucial_integrals(family, branch)
-        entries.extend([ratio, mass])
-    try:
-        entries.append(check_L2(family, branch))
-    except ValueError:
-        pass
-    try:
-        entries.append(check_fprime_integral(family, branch))
-    except ValueError:
-        pass
-    for sup in entries:
-        out[sup.name] = {"sup": sup.sup, "trend": sup.trend, "finite": sup.finite}
-    return out
+    entries = [] if family.singular else list(check_crucial_integrals(family, branch))
+    for check in (check_L2, check_fprime_integral):
+        try:
+            entries.append(check(family, branch))
+        except ValueError:  # the bound is not proved for this family
+            pass
+    return {sup.name: {"sup": sup.sup, "trend": sup.trend, "finite": sup.finite}
+            for sup in entries}
 
 
-def _write_verify_artifacts(cfg: RunConfig, family, branch: Branch, status: str,
-                            m_max: float) -> dict:
-    tag = f"{_family_tag(cfg.family)}_N{cfg.dim_N}"
-    csv_text, all_ok = _estimate_csv(family, branch)
-    _write_atomic(os.path.join(cfg.out, f"estimates_{tag}.csv"), csv_text)
-    verdict = {
-        "family": cfg.family,
-        "N": cfg.dim_N,
-        "n": cfg.n,
-        "lambda_star_estimate": branch.lambda_star_estimate,
-        "fold_detected": branch.fold_detected,
-        "pre_fold_points": len(branch.pre_fold_points),
-        "pointwise_all_satisfied": all_ok,
-        "suprema": _suprema_summary(family, branch),
-        "m_max_effective": m_max,
-        "config": cfg.as_dict(),
-    }
-    if status != "ok":
-        verdict["status"] = status  # partial, not-applicable or no-fold; absent means ok
-    _write_atomic(os.path.join(cfg.out, f"verify_{tag}.json"), _json_text(verdict))
-    return verdict
-
-
-def _run_cell(cfg: RunConfig, command: str) -> dict:
+def _run_cell(cell: _Cell, command: str) -> dict:
     """One (family, N) cell of branch, verify or sweep.
 
-    Solves the branch, keeping a partial one, writes the command's
-    artifacts and returns the cell's record.  A failure ends the cell with
-    the status the failure table gives it.
+    Solves the branch, keeping a partial one, and computes everything the
+    command reports; then settles the status and only then writes the
+    artifacts.  Returns the cell's record.  A failure ends the cell with the
+    status the failure table gives it.
     """
-    family = parse_family(cfg.family)
-    cell = {"family": cfg.family, "N": cfg.dim_N, "status": "ok", "error": "",
-            "lambda_star": math.nan, "fold_detected": False, "estimates_ok": False}
+    cfg, family = cell.cfg, cell.family
+    record = {"family": cfg.family, "N": cfg.N, "status": "ok", "error": "",
+              "lambda_star": math.nan, "fold_detected": False, "estimates_ok": False}
     if command == "sweep":
-        verdict = bs.predict_regularity(family, cfg.dim_N)
-        cell.update(verdict=verdict.verdict, rule=verdict.rule)
-    solver = SolverConfig(newton_tol=cfg.tol, amplitude_step=cfg.amplitude_step)
-    m_max = _effective_m_max(family, cfg.m_max)
+        verdict = bs.predict_regularity(family, cfg.N)
+        record.update(verdict=verdict.verdict, rule=verdict.rule)
     try:
         try:
-            branch = continue_branch(family, RadialGrid(cfg.dim_N, cfg.n), m_max, solver)
+            branch = continue_branch(family, cell.grid, cell.m_max, cell.solver)
         except ContinuationError as exc:
             if _status(exc) != "partial":
                 raise
             branch = exc.partial
-            cell.update(status="partial", error=str(exc))
-        cell.update(lambda_star=branch.lambda_star_estimate, fold_detected=branch.fold_detected)
-        if command == "verify" and cell["status"] == "ok" and not branch.pre_fold_points:
-            cell.update(status="not-applicable",
-                        error="no pre-fold point, so no estimate was evaluated")
-        if cell["status"] == "ok" and not branch.fold_detected:
-            cell.update(status="no-fold", error="the sampled lambda maximum is at an end of "
-                        "the branch, so lambda_star is only a sampled value")
+            record.update(status="partial", error=str(exc))
+        record.update(lambda_star=branch.lambda_star_estimate, fold_detected=branch.fold_detected)
+
+        mu1 = _mu1_column(family, branch) if command != "verify" else []
+        reports, not_applicable = [], ""
+        if command != "branch":
+            try:
+                reports = [rep for pt in branch.pre_fold_points
+                           for rep in run_pointwise_suite(family, pt)]
+            except FamilyDomainError as exc:
+                # the estimates' hypotheses fail: mems p <= 1, or u outside the
+                # auxiliary functions' domain (u >= 0, u < 1 for mems)
+                not_applicable = str(exc)
+        if command == "verify" and not branch.pre_fold_points:
+            not_applicable = "no pre-fold point, so no estimate was evaluated"
+        # with no estimate evaluated nothing passed
+        record["estimates_ok"] = bool(reports) and all(rep.satisfied for rep in reports)
+        suprema = _suprema_summary(family, branch) if command == "verify" else {}
+
+        if record["status"] == "ok" and not_applicable:
+            record.update(status="not-applicable", error=not_applicable)
+        if record["status"] == "ok" and not branch.fold_detected:
+            record.update(status="no-fold", error="the sampled lambda maximum is at an end of "
+                          "the branch, so lambda_star is only a sampled value")
+
+        tag = f"{_family_tag(cfg.family)}_N{cfg.N}"
+        summary = record["summary"] = {
+            "family": cfg.family, "N": cfg.N, "n": cfg.n, "m_max_effective": cell.m_max,
+            "lambda_star_estimate": branch.lambda_star_estimate,
+            "fold_detected": branch.fold_detected, "config": asdict(cfg)}
         if command == "verify":
-            cell["summary"] = _write_verify_artifacts(cfg, family, branch, cell["status"], m_max)
+            rows = ((rep.name, rep.m, rep.lam, rep.lhs, rep.rhs, rep.margin, rep.satisfied)
+                    for rep in reports)
+            _write_atomic(os.path.join(cfg.out, f"estimates_{tag}.csv"),
+                          _csv_text(_ESTIMATE_HEADER, rows))
+            summary.update(pre_fold_points=len(branch.pre_fold_points),
+                           pointwise_all_satisfied=record["estimates_ok"], suprema=suprema)
+            if record["status"] != "ok":
+                summary["status"] = record["status"]  # absent means ok
+            _write_atomic(os.path.join(cfg.out, f"verify_{tag}.json"), _json_text(summary))
         else:
-            cell["summary"] = _write_branch_artifacts(cfg, family, branch, cell["status"], m_max)
-        if command == "sweep":
-            cell["estimates_ok"] = _estimate_csv(family, branch)[1]
+            rows = ((pt.m, pt.lam, pt.u[0], max(pt.u), mu, pt.residual_norm, pt.newton_iters)
+                    for pt, mu in zip(branch.points, mu1))
+            _write_atomic(os.path.join(cfg.out, f"branch_{tag}.csv"),
+                          _csv_text(_BRANCH_HEADER, rows))
+            summary.update(points=len(branch.points), status=record["status"])
+            _write_atomic(os.path.join(cfg.out, f"branch_{tag}.json"), _json_text(summary))
+            if cfg.dump_fields:
+                for i, pt in enumerate(branch.points):
+                    _write_atomic(os.path.join(cfg.out, f"field_{tag}_{i:04d}.csv"),
+                                  _csv_text("r,value", field_rows(pt.u, pt.grid)))
+                _write_atomic(os.path.join(cfg.out, f"grid_{tag}.json"),
+                              _json_text(branch.grid.json_header()))
     except _FAILURE_TYPES as exc:
-        cell.update(status=_status(exc), error=str(exc))
-    return cell
+        record.update(status=_status(exc), error=str(exc))
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +358,7 @@ def _run_cell(cfg: RunConfig, command: str) -> dict:
 
 def cmd_predict(args) -> int:
     family = parse_family(args.family)
-    verdict = bs.predict_regularity(family, args.dim_N)
+    verdict = bs.predict_regularity(family, args.N)
     text = _json_text(verdict.as_dict())
     sys.stdout.write(text)
     if args.out:
@@ -398,10 +367,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    params = bs.ExponentParams(args.dim_N, args.q, args.alpha, args.beta)
+    params = bs.ExponentParams(args.N, args.q, args.alpha, args.beta)
     trace = bs.run_bootstrap(params, max_steps=args.steps)
     record = {
-        "N": args.dim_N,
+        "N": args.N,
         "q0": args.q,
         "alpha": args.alpha,
         "beta": args.beta,
@@ -417,24 +386,25 @@ def cmd_bootstrap(args) -> int:
 def cmd_run(args) -> int:
     """branch, verify and sweep: validate every cell, then run them."""
     cfg, lists = _resolve_config(args)
-    cells = [cfg]
+    configs = [cfg]
     if args.command == "sweep":
         fams = [f.strip() for f in lists.get("families", "").split(",") if f.strip()]
         if not fams or "dims" not in lists:
             raise ValueError("sweep needs --families and --dims")
         dims = _parse_dims(lists["dims"])
-        cells = [replace(cfg, family=f, dim_N=N) for f in fams for N in dims]
-    for cell in cells:
-        _validate_run_config(cell)
+        configs = [replace(cfg, family=f, N=N) for f in fams for N in dims]
+    cells = [_validate(c) for c in configs]
     os.makedirs(cfg.out, exist_ok=True)  # an unusable --out fails before any compute
     if args.command != "sweep":
-        record = _run_cell(cfg, args.command)
+        record = _run_cell(cells[0], args.command)
         if record["status"] != "ok":
             return _fail(record["status"], record["error"])
         sys.stdout.write(_json_text(record["summary"]))
         return EXIT_OK
-    # each cell runs alone in its worker and dumps no fields
-    cells = [replace(cell, jobs=1, dump_fields=False) for cell in cells]
+    # a family spelled twice runs once; each cell runs alone in its worker
+    # and dumps no fields
+    unique = {(c.cfg.family, c.cfg.N): c for c in cells}
+    cells = [replace(c, cfg=replace(c.cfg, jobs=1, dump_fields=False)) for c in unique.values()]
     run = partial(_run_cell, command="sweep")
     if cfg.jobs > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(cells))) as pool:
@@ -458,7 +428,7 @@ def cmd_run(args) -> int:
 def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--family", dest="family", default=None,
                      help="exp | power:p=<real> | mems:p=<real>")
-    sub.add_argument("--N", dest="dim_N", type=int, default=None, help="space dimension")
+    sub.add_argument("--N", dest="N", type=int, default=None, help="space dimension")
     sub.add_argument("--n", dest="n", type=int, default=None, help="interior grid nodes")
     sub.add_argument("--m-max", dest="m_max", type=float, default=None,
                      help="largest amplitude to continue to")
@@ -481,12 +451,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("predict", help="regularity verdict for (family, N)")
     p.add_argument("--family", required=True)
-    p.add_argument("--N", dest="dim_N", type=int, required=True)
+    p.add_argument("--N", dest="N", type=int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_predict)
 
     p = subs.add_parser("bootstrap", help="run the exponent recursion")
-    p.add_argument("--N", dest="dim_N", type=int, required=True)
+    p.add_argument("--N", dest="N", type=int, required=True)
     p.add_argument("--q", type=float, required=True, help="starting exponent q0 >= 1")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)

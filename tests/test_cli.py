@@ -233,19 +233,26 @@ def test_summary_records_effective_m_max(command, artifact, tmp_path, capsys):
 NO_PRE_FOLD = ["--n", "51", "--m-max", "1.58", "--amplitude-step", "0.76"]
 
 
-def test_verify_without_pre_fold_point_is_not_applicable(tmp_path, capsys):
+# the estimates do not apply without a pre-fold point, nor to mems with p <= 1;
+# either way the run writes all its artifacts with that status
+@pytest.mark.parametrize("family, flags, tag, pre_fold", [
+    ("mems:p=0.557877", NO_PRE_FOLD, "mems-p0_557877_N3", False),
+    ("mems:p=1", ["--n", "64"], "mems-p1_N3", True),
+], ids=["no-pre-fold", "mems-p1"])
+def test_verify_without_pre_fold_point_is_not_applicable(family, flags, tag, pre_fold,
+                                                          tmp_path, capsys):
     out = str(tmp_path / "nofold")
-    code = main(["verify", "--family", "mems:p=0.557877", "--N", "3", *NO_PRE_FOLD,
-                 "--out", out])
+    code = main(["verify", "--family", family, "--N", "3", *flags, "--out", out])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
-    verdict = json.loads(read(os.path.join(out, "verify_mems-p0_557877_N3.json")))
-    assert verdict["pre_fold_points"] == 0
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    verdict = json.loads(read(os.path.join(out, f"verify_{tag}.json")))
+    assert (verdict["pre_fold_points"] > 0) is pre_fold
     assert verdict["pointwise_all_satisfied"] is False
     assert verdict["status"] == "not-applicable"
-    estimates = read(os.path.join(out, "estimates_mems-p0_557877_N3.csv"))
+    estimates = read(os.path.join(out, f"estimates_{tag}.csv"))
     assert estimates.splitlines() == ["estimate,m,lambda,lhs,rhs,margin,satisfied"]
 
 
@@ -376,6 +383,21 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
     assert a == b
 
 
+def test_sweep_spells_each_family_once(tmp_path, capsys):
+    # exp twice, and power:p=2 under a second spelling, run one cell each
+    out = str(tmp_path / "dup")
+    code, stdout = run(capsys, "sweep", "--families", "exp,exp,power:p=2.0", "--dims", "3,3",
+                       *FOLDED, "--out", out)
+    assert code == 0
+    rows = [line.split(",")[:3] for line in stdout.splitlines()[1:]]
+    assert rows == [["exp", "3", "ok"], ["power:p=2", "3", "ok"]]
+    assert sorted(os.listdir(out)) == ["branch_exp_N3.csv", "branch_exp_N3.json",
+                                       "branch_power-p2_N3.csv", "branch_power-p2_N3.json",
+                                       "sweep.csv"]
+    summary = json.loads(read(os.path.join(out, "branch_power-p2_N3.json")))
+    assert summary["family"] == summary["config"]["family"] == "power:p=2"
+
+
 def test_sweep_requires_lists(capsys):
     assert main(["sweep", "--families", "exp"]) == 2
     assert main(["sweep", "--dims", "3..4"]) == 2
@@ -441,6 +463,10 @@ def test_failure_exit_codes(case, tmp_path, capsys):
         assert [(r["family"], r["status"]) for r in rows] == [
             ("exp", "ok"), ("mems:p=1", "not-applicable")]
         assert math.isfinite(float(rows[1]["lambda_star"]))
+        # each cell's branch JSON carries the status its sweep.csv row gives
+        for tag, row in zip(("exp_N3", "mems-p1_N3"), rows):
+            summary = json.loads(read(tmp_path / "run" / f"branch_{tag}.json"))
+            assert summary["status"] == row["status"]
 
 
 # (family, N, m-max, first amplitude) of runs that once leaked a numpy warning
