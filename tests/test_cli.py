@@ -233,26 +233,38 @@ def test_summary_records_effective_m_max(command, artifact, tmp_path, capsys):
 NO_PRE_FOLD = ["--n", "51", "--m-max", "1.58", "--amplitude-step", "0.76"]
 
 
-# the estimates do not apply without a pre-fold point, nor to mems with p <= 1;
-# either way the run writes all its artifacts with that status
-@pytest.mark.parametrize("family, flags, tag, pre_fold", [
-    ("mems:p=0.557877", NO_PRE_FOLD, "mems-p0_557877_N3", False),
-    ("mems:p=1", ["--n", "64"], "mems-p1_N3", True),
-], ids=["no-pre-fold", "mems-p1"])
-def test_verify_without_pre_fold_point_is_not_applicable(family, flags, tag, pre_fold,
-                                                          tmp_path, capsys):
+def test_verify_without_pre_fold_point_is_not_applicable(tmp_path, capsys):
     out = str(tmp_path / "nofold")
-    code = main(["verify", "--family", family, "--N", "3", *flags, "--out", out])
+    code = main(["verify", "--family", "mems:p=0.557877", "--N", "3", *NO_PRE_FOLD,
+                 "--out", out])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
-    verdict = json.loads(read(os.path.join(out, f"verify_{tag}.json")))
-    assert (verdict["pre_fold_points"] > 0) is pre_fold
+    verdict = json.loads(read(os.path.join(out, "verify_mems-p0_557877_N3.json")))
+    assert verdict["pre_fold_points"] == 0
     assert verdict["pointwise_all_satisfied"] is False
     assert verdict["status"] == "not-applicable"
-    estimates = read(os.path.join(out, f"estimates_{tag}.csv"))
+    estimates = read(os.path.join(out, "estimates_mems-p0_557877_N3.csv"))
+    assert estimates.splitlines() == ["estimate,m,lambda,lhs,rhs,margin,satisfied"]
+
+
+def test_verify_mems_p1_is_not_applicable(tmp_path, capsys):
+    # the estimates do not apply to mems with p <= 1 even with pre-fold points;
+    # the run still writes all its artifacts with that status
+    out = str(tmp_path / "p1")
+    code = main(["verify", "--family", "mems:p=1", "--N", "3", "--n", "64", "--out", out])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    verdict = json.loads(read(os.path.join(out, "verify_mems-p1_N3.json")))
+    assert verdict["pre_fold_points"] > 0
+    assert verdict["pointwise_all_satisfied"] is False
+    assert verdict["status"] == "not-applicable"
+    estimates = read(os.path.join(out, "estimates_mems-p1_N3.csv"))
     assert estimates.splitlines() == ["estimate,m,lambda,lhs,rhs,margin,satisfied"]
 
 
