@@ -4,6 +4,17 @@ on the unit ball: minimal-branch continuation, fold and extremal-parameter
 estimation, semi-stability spectra, a-priori estimate certification, and
 the exponent-bootstrap regularity predictor."""
 
+import os
+
+# One BLAS thread per process.  Every BLAS/LAPACK call the lab makes is banded
+# O(n) work or a length-n dot product and never uses the OpenBLAS thread pool,
+# while the idle pool threads that numpy's and scipy's OpenBLAS builds start
+# on load compete with the main thread and with the sweep's workers for the
+# cores.  Each OpenBLAS reads the variable once, when it loads, so this must
+# run before the first import below loads numpy; sweep workers inherit it.  A
+# value already in the environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .families import (
     NonlinearityFamily,
     exponential,

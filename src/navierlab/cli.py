@@ -27,7 +27,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from typing import get_type_hints
@@ -200,11 +199,13 @@ def _parse_dims(spec: str) -> list[int]:
     dims: list[int] = []
     for part in spec.split(","):
         part = part.strip()
-        if ".." in part:
-            lo, _, hi = part.partition("..")
-            dims.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            dims.append(int(part))
+        if not part:
+            continue
+        lo, dots, hi = part.partition("..")
+        try:
+            dims.extend(range(int(lo), int(hi) + 1) if dots else [int(part)])
+        except ValueError:
+            raise ValueError(f"dims entry {part!r} in {spec!r} is not N or N..M") from None
     if not dims:
         raise ValueError(f"empty dimension list {spec!r}")
     return sorted(set(dims))
@@ -407,6 +408,10 @@ def cmd_run(args) -> int:
     cells = [replace(c, cfg=replace(c.cfg, jobs=1, dump_fields=False)) for c in unique.values()]
     run = partial(_run_cell, command="sweep")
     if cfg.jobs > 1 and len(cells) > 1:
+        # imported here so that commands without a worker pool never load
+        # multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(cells))) as pool:
             records = list(pool.map(run, cells))
     else:

@@ -416,6 +416,19 @@ def test_sweep_requires_lists(capsys):
     assert main(["sweep", "--families", "bogus", "--dims", "3"]) == 2
 
 
+@pytest.mark.parametrize("dims", ["x", "3..", "3..x"])
+def test_malformed_dims_name_the_entry(dims, tmp_path, capsys):
+    # the flag and the config-file key reach the same parser
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"families = exp\ndims = 4,{dims}\n")
+    for argv in (["--families", "exp", "--dims", f"4,{dims}"], ["--config", str(cfg)]):
+        code = main(["sweep", *argv, "--n", "64", "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: dims entry {dims!r} in '4,{dims}' is not N or N..M\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_sweep_lists_from_config_file(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("families = exp, power:p=2\ndims = 3..4\nn = 64\nm_max = 2.2\n"

@@ -278,13 +278,35 @@ def test_H_rejects_non_finite():
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    # nor the scipy.linalg package: only its compiled LAPACK module is loaded
+    # nor the scipy.linalg package: only its compiled LAPACK module is loaded;
+    # and no process pool until a sweep runs on more than one job
     code = ("import sys, navierlab, navierlab.cli; "
             "print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', "
-            "'scipy.linalg'))))")
+            "'scipy.linalg', 'concurrent.futures.process'))))")
     result = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                             text=True, check=True, timeout=120)
     assert result.stdout.strip() == "['scipy.linalg._flapack']"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_import_starts_no_blas_threads():
+    # importing the CLI loads numpy's and scipy's OpenBLAS; neither may start
+    # its thread pool.  The variable is removed explicitly because this
+    # process's own import of navierlab has set it.
+    env = src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    code = "import os, navierlab.cli; print(len(os.listdir('/proc/self/task')))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=120)
+    assert result.stdout.strip() == "1"
+
+
+def test_import_keeps_preset_blas_threads():
+    env = {**src_env(), "OPENBLAS_NUM_THREADS": "2"}
+    code = "import os, navierlab.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=120)
+    assert result.stdout.strip() == "2"
 
 
 def src_env():
