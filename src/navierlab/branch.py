@@ -1,7 +1,7 @@
 """Minimal-branch continuation for Delta^2 u = lambda f(u), hinged boundary.
 
 Solutions are parametrized by the amplitude m = u(0) rather than by lambda,
-so the fold (the maximum of lambda along the minimal branch) needs no
+so the fold (where lambda turns back along the minimal branch) needs no
 arclength machinery: lambda joins u as an unknown and the closing equation
 is the amplitude constraint.  With K = -Delta_h (Dirichlet data gives u = 0,
 and Delta u = -K u = 0, on the boundary) each point solves
@@ -12,16 +12,18 @@ by damped Newton iteration on B = K^2 - lambda diag f'(u), the operator
 whose spectrum decides semi-stability (``navierlab.stability``), bordered
 by the lambda column and the constraint row.  LAPACK ``dgbsv`` (from
 ``navierlab._lapack``, without the ``scipy.linalg`` package init) factors
-it.  Continuation marches m upward with adaptive steps and secant warm
-starts, then bisects the bracket around the sampled lambda maximum.
+it.  Continuation marches m upward with adaptive steps, starting each
+solve from the Euler step along the tangent the last point's Newton solve
+gave, then bisects the bracket around the first fold.
 
 A ``Branch`` keeps only its points and grid and derives the rest from
-them by one rule: the fold is the sampled lambda maximum, detected when it
-is interior, and the extremal-parameter estimate is the vertex of the
-parabola through the three samples bracketing it.  ``pre_fold_points``
-exposes the segment strictly before that maximum, which is certainly on
-the stable side of the fold (past the fold lambda decreases, so a sample
-beyond the true fold can never carry a larger lambda than a later one).
+them by one rule: the fold is the first sample where lambda turns (the
+first with dlam_dm <= 0, or the last before lambda first decreases),
+detected when interior, and the extremal-parameter estimate is the vertex
+of the parabola through the three samples bracketing it.
+``pre_fold_points`` exposes the segment strictly before it.  The largest
+sampled lambda would not do: near a critical dimension the discrete branch
+turns several times, and a later turn can carry a larger lambda.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ class SolverConfig:
 
 @dataclass
 class BranchPoint:
-    """One converged solution keyed by its amplitude, with v = K u = -Delta_h u."""
+    """One converged solution at amplitude m, with v = K u = -Delta_h u and slope dlam_dm."""
 
     m: float
     lam: float
@@ -91,6 +93,7 @@ class BranchPoint:
     residual_norm: float
     newton_iters: int
     grid: RadialGrid = field(repr=False)
+    dlam_dm: float = np.nan
 
 
 @dataclass
@@ -111,18 +114,25 @@ class Branch:
 
     @property
     def fold_index(self) -> int:
-        """Index of the sampled lambda maximum (0 with no points)."""
-        return int(np.argmax(self.lambdas)) if self.points else 0
+        """Index of the first fold: the first sample with dlam_dm <= 0, or
+        the last before lambda first decreases; the last point when lambda
+        never turns (0 with no points)."""
+        lams = self.lambdas
+        for k, pt in enumerate(self.points[:-1]):
+            if pt.dlam_dm <= 0.0 or lams[k + 1] < lams[k]:
+                return k
+        return max(len(self.points) - 1, 0)
 
     @property
     def fold_detected(self) -> bool:
-        """Whether the sampled lambda maximum is interior to the branch."""
+        """Whether the first fold has a sample on each side."""
         return 0 < self.fold_index < len(self.points) - 1
 
     @property
     def lambda_star_estimate(self) -> float:
         """Vertex of the parabola through the three samples bracketing a
-        detected fold; otherwise the sampled maximum (0.0 with no points)."""
+        detected fold; otherwise lambda at the fold index, the sampled
+        maximum of a rising branch (0.0 with no points)."""
         if not self.fold_detected:
             return float(self.lambdas[self.fold_index]) if self.points else 0.0
         k = self.fold_index
@@ -138,7 +148,7 @@ class Branch:
 
     @property
     def pre_fold_points(self) -> list[BranchPoint]:
-        """Points strictly before the sampled lambda maximum."""
+        """Points strictly before the first fold, where lambda still rises."""
         return self.points[: self.fold_index]
 
 
@@ -179,7 +189,7 @@ def _residual(K: BandedOperator, D, family, u, lam, m):
     return R, R_amp, fu, rn
 
 
-def _newton(K, family, grid, m, u, lam, config) -> BranchPoint:
+def _newton(K, family, grid, m, u, lam, config) -> tuple[BranchPoint, np.ndarray]:
     """Damped bordered Newton on (u, lambda) at fixed amplitude.
 
     A point is accepted when the rowwise-scaled residual is below
@@ -191,6 +201,9 @@ def _newton(K, family, grid, m, u, lam, config) -> BranchPoint:
     diagonal shifted) once for both columns of the bordered solve; a solve
     that is not finite, or whose border pivot z[0] vanishes, fails the
     step.  The accepted line-search trial's residual starts the next step.
+    The m-derivative of the system, B du/dm = f(u) dlambda/dm with
+    du/dm[0] = 1, makes the last solve's B z = -f(u) the branch tangent,
+    returned with the point: du/dm = z / z[0], dlambda/dm = -1 / z[0].
     """
     D = float(np.max(np.abs(K.diag)))
     res = _residual(K, D, family, u, lam, m)
@@ -200,7 +213,8 @@ def _newton(K, family, grid, m, u, lam, config) -> BranchPoint:
     for it in range(MAX_NEWTON + 1):
         R, R_amp, fu, rn = res
         if rn <= config.newton_tol and update_rel is not None and update_rel <= config.newton_tol:
-            return BranchPoint(m, float(lam), u, K.apply(u), rn, it, grid)
+            z0 = float(z[0])
+            return BranchPoint(m, float(lam), u, K.apply(u), rn, it, grid, -1.0 / z0), z / z0
         if it == MAX_NEWTON:
             break
         # bandwidth (2, 2) in the gbsv layout (row 4 + i - j holds entry
@@ -276,7 +290,7 @@ def solve_at_amplitude(
         u, lam = guess.u.copy(), guess.lam
     else:
         u, lam = _initial_guess(K, family, grid, m)
-    return _newton(K, family, grid, m, u, lam, config)
+    return _newton(K, family, grid, m, u, lam, config)[0]
 
 
 def continue_branch(
@@ -285,7 +299,8 @@ def continue_branch(
     m_max: float,
     config: SolverConfig | None = None,
 ) -> Branch:
-    """March the amplitude from one step up to m_max, warm-starting each solve.
+    """March the amplitude from one step up to m_max, starting each solve from
+    the Euler step along the last point's tangent (the first from a parabola).
 
     Every amplitude tried is min(last accepted m + step, m_max), with 0
     before the first point.  Steps halve whenever Newton diverges, and halve
@@ -294,8 +309,8 @@ def continue_branch(
     capped at MAX_STEP_FACTOR * amplitude_step.  A Newton trial outside the
     family's domain is rejected by the line search like any other, and the
     singular family is continued to at most MEMS_M_MAX = 1 - 1e-4.  The
-    bracket around the sampled lambda maximum is then refined; the returned
-    Branch derives the fold from its points.
+    bracket around the first fold is then refined; the returned Branch
+    derives the fold from its points.
     """
     config = config or SolverConfig()
     if m_max <= 0.0:
@@ -316,15 +331,10 @@ def continue_branch(
         try:
             if not points:
                 u, lam = _initial_guess(K, family, grid, m_target)
-            elif len(points) == 1:
-                u, lam = points[0].u.copy(), points[0].lam
             else:
-                # secant predictor through the last two points
-                prev2, prev = points[-2:]
-                w = (m_target - prev.m) / (prev.m - prev2.m)
-                u = prev.u + w * (prev.u - prev2.u)
-                lam = prev.lam + w * (prev.lam - prev2.lam)
-            pt = _newton(K, family, grid, m_target, u, lam, config)
+                dm = m_target - m_last
+                u, lam = points[-1].u + dm * du_dm, points[-1].lam + dm * points[-1].dlam_dm
+            pt, du_dm = _newton(K, family, grid, m_target, u, lam, config)
         except NewtonDivergedError as exc:
             # halve until the retry moves off a clamped m_max: the solve
             # there would start from the same guess and fail the same way
@@ -346,33 +356,33 @@ def continue_branch(
 
 
 def _refine_fold_bracket(K, family, grid, config, points) -> None:
-    """Bisect the amplitude bracket around the sampled lambda maximum.
+    """Bisect the amplitude bracket around the first fold.
 
     Marching alone leaves the fold between coarse samples; repeatedly
     solving at the midpoint of the wider flank of the three-point bracket
     clusters samples at the fold, which sharpens the parabola vertex used
     for the extremal-parameter estimate and lets the tracked integrals
-    flatten visibly as the fold is approached.  New points are inserted in
-    amplitude order.  Stops once the points show no fold or the bracket is
-    narrower than amplitude_step / FOLD_REFINE_FACTOR.
+    flatten visibly as the fold is approached.  A first turn between the
+    last two points (the last has dlam_dm <= 0) has no sample to its right,
+    so that flank is bisected until one appears.  New points are inserted
+    in amplitude order.  Stops once the points show no fold or the bracket
+    is narrower than amplitude_step / FOLD_REFINE_FACTOR.
     """
     width_target = config.amplitude_step / FOLD_REFINE_FACTOR
     for _ in range(200):
-        branch = Branch(points, grid)
-        if not branch.fold_detected:
+        k = Branch(points, grid).fold_index
+        if k == 0 or (k == len(points) - 1 and not points[k].dlam_dm <= 0.0):
             return
-        k = branch.fold_index
-        left, mid, right = points[k - 1], points[k], points[k + 1]
+        left, mid = points[k - 1], points[k]
+        right = points[k + 1] if k + 1 < len(points) else mid
         if right.m - left.m <= width_target:
             return
         if mid.m - left.m >= right.m - mid.m:
-            m_new = 0.5 * (left.m + mid.m)
-            insert_at = k
+            m_new, insert_at = 0.5 * (left.m + mid.m), k
         else:
-            m_new = 0.5 * (mid.m + right.m)
-            insert_at = k + 1
+            m_new, insert_at = 0.5 * (mid.m + right.m), k + 1
         try:
-            pt = _newton(K, family, grid, m_new, mid.u.copy(), mid.lam, config)
+            pt = _newton(K, family, grid, m_new, mid.u.copy(), mid.lam, config)[0]
         except NewtonDivergedError:
             return
         points.insert(insert_at, pt)

@@ -15,8 +15,8 @@ command reports, settles its final status and only then writes artifacts that
 carry it.  One failure table (``_status`` and ``_EXIT``) gives every outcome
 its status and exit code: 0 success, 2 usage/config error or estimates not
 applicable, 3 inconclusive (a bootstrap classification, or a branch whose
-sampled lambda maximum sits at one of its ends, so no fold was seen), 4
-compute failure (a partial branch is kept and flagged).
+first fold has no sample on one side, so no fold was seen), 4 compute
+failure (a partial branch is kept and flagged).
 """
 
 from __future__ import annotations
@@ -316,8 +316,8 @@ def _run_cell(cell: _Cell, command: str) -> dict:
         if record["status"] == "ok" and not_applicable:
             record.update(status="not-applicable", error=not_applicable)
         if record["status"] == "ok" and not branch.fold_detected:
-            record.update(status="no-fold", error="the sampled lambda maximum is at an end of "
-                          "the branch, so lambda_star is only a sampled value")
+            record.update(status="no-fold", error="lambda does not turn between two samples "
+                          "of the branch, so lambda_star is only a sampled value")
 
         tag = f"{_family_tag(cfg.family)}_N{cfg.N}"
         summary = record["summary"] = {

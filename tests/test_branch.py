@@ -5,6 +5,7 @@ import pytest
 
 from navierlab import branch as branch_module
 from navierlab.branch import (
+    FOLD_REFINE_FACTOR,
     MEMS_M_MAX,
     Branch,
     BranchPoint,
@@ -74,6 +75,7 @@ def test_small_amplitude_linear_law():
 def test_small_amplitude_point_shape():
     grid = RadialGrid(3, 256)
     pt = solve_at_amplitude(exponential(), grid, 0.1)
+    assert isinstance(pt, BranchPoint)
     assert pt.lam > 0.0
     assert np.all(np.diff(pt.u) <= 1e-12)  # radially decreasing
     assert np.min(pt.u) >= -1e-8 and np.min(pt.v) >= -1e-8
@@ -237,3 +239,65 @@ def test_fold_bracket_refined(exp_branch):
     ms = branch.amplitudes
     assert ms[k + 1] - ms[k - 1] <= 0.05 / 32
     assert branch.lambda_star_estimate >= branch.lambdas.max()
+
+
+@pytest.mark.parametrize("m", [0.3, 1.0, 1.5])
+def test_tangent_slope_matches_finite_differences(m):
+    # the slope comes from Newton's last bordered solve; the fold sits near 1.66
+    fam, grid, h = exponential(), RadialGrid(3, 256), 1e-4
+    fd = (solve_at_amplitude(fam, grid, m + h).lam - solve_at_amplitude(fam, grid, m - h).lam) / (2 * h)
+    slope = solve_at_amplitude(fam, grid, m).dlam_dm
+    assert abs(slope - fd) <= 1e-5 * max(1.0, abs(fd))
+
+
+def _synthetic(ms, lams, slopes, grid):
+    z = np.zeros(grid.size)
+    return [BranchPoint(m, lam, z, z, 0.0, 0, grid, s) for m, lam, s in zip(ms, lams, slopes)]
+
+
+def test_fold_index_is_the_first_turn():
+    grid = RadialGrid(3, 16)
+    # lambda turns at m = 2, then rises past its first maximum
+    turns = Branch(_synthetic([1, 2, 3, 4, 5], [1.0, 2.0, 1.5, 3.0, 4.0], [1, 1, -1, 1, 1], grid), grid)
+    assert turns.fold_index == 1 and turns.fold_detected
+    assert [pt.m for pt in turns.pre_fold_points] == [1]
+    # the slope turns negative at m = 2 while the next sample is still higher
+    assert Branch(_synthetic([1, 2, 3], [1.0, 2.0, 2.1], [1, -1, -1], grid), grid).fold_index == 1
+    # lambda rises to the last point, whose slope is negative: the fold lies
+    # between the last two samples, with nothing to its right
+    last = Branch(_synthetic([1, 2, 3], [1.0, 2.0, 2.5], [1, 1, -1], grid), grid)
+    assert last.fold_index == 2 and not last.fold_detected
+    assert last.lambda_star_estimate == 2.5
+
+
+def test_refinement_bisects_the_last_flank():
+    # a step from m = 1.9 to 2.2 jumps the fold at 2.141 and still lands on
+    # a larger lambda; the slope there shows the turn
+    fam, grid = power(2.0), RadialGrid(4, 64)
+    config = SolverConfig(amplitude_step=0.1)
+    points = [solve_at_amplitude(fam, grid, m) for m in (1.9, 2.2)]
+    assert points[1].lam > points[0].lam and points[1].dlam_dm < 0.0
+    assert not Branch(points, grid).fold_detected
+    branch_module._refine_fold_bracket(minus_laplacian(grid), fam, grid, config, points)
+    branch = Branch(points, grid)
+    assert branch.fold_detected
+    k = branch.fold_index
+    assert 2.13 < branch.points[k].m < 2.15
+    assert branch.amplitudes[k + 1] - branch.amplitudes[k - 1] <= 0.1 / FOLD_REFINE_FACTOR
+    marched = continue_branch(fam, grid, 2.2, config)
+    assert branch.lambda_star_estimate == pytest.approx(marched.lambda_star_estimate, rel=1e-9)
+
+
+def test_mems_clamp_residual_budget(monkeypatch):
+    # the Euler step along the tangent keeps Newton out of u >= 1 near the
+    # clamp: the secant predictor spent 1,173 residuals on this branch
+    calls = []
+    residual = branch_module._residual
+
+    def counting_residual(*args):
+        calls.append(None)
+        return residual(*args)
+
+    monkeypatch.setattr(branch_module, "_residual", counting_residual)
+    continue_branch(mems(2.0), RadialGrid(8, 512), MEMS_M_MAX)
+    assert len(calls) <= 400

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from navierlab.branch import MEMS_M_MAX, BranchPoint, continue_branch, trivial_point
+from navierlab.branch import MEMS_M_MAX, BranchPoint, SolverConfig, continue_branch, trivial_point
 from navierlab.families import exponential, mems, power
 from navierlab import stability
 from navierlab.radial import RadialGrid, minus_laplacian, volume_weights
@@ -157,6 +157,19 @@ def test_mu_continuity_along_branch(exp_branch):
     for i in range(1, len(mus)):
         dm = ms[i] - ms[i - 1]
         assert abs(mus[i] - mus[i - 1]) <= 120.0 * max(dm, 1e-12) + 1e-6 * mu0
+
+
+def test_first_fold_ends_the_minimal_branch():
+    # near its critical dimension the coarse discrete branch turns several
+    # times, and a later turn (near m = 266.9) can carry a larger sampled
+    # lambda than the first; every point before the first turn is semi-stable
+    fam = power(5.0)
+    branch = continue_branch(fam, RadialGrid(15, 256), 300, SolverConfig(amplitude_step=1))
+    assert branch.fold_detected
+    assert branch.points[branch.fold_index].m < 30.0
+    assert branch.pre_fold_points
+    for pt in branch.pre_fold_points:
+        assert smallest_stability_eigenvalue(fam, pt).mu1 > 0.0
 
 
 def test_mems_pre_fold_semistable():
