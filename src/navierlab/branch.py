@@ -12,9 +12,9 @@ by damped Newton iteration on B = K^2 - lambda diag f'(u), the operator
 whose spectrum decides semi-stability (``navierlab.stability``), bordered
 by the lambda column and the constraint row.  LAPACK ``dgbsv`` (from
 ``navierlab._lapack``, without the ``scipy.linalg`` package init) factors
-it.  Continuation marches m upward with adaptive steps, starting each
-solve from the Euler step along the tangent the last point's Newton solve
-gave, then bisects the bracket around the first fold.
+it.  Every solve starts from the Euler step along a solved point's tangent;
+continuation starts at the trivial solution (lambda, u) = (0, 0), marches m
+upward with adaptive steps, then bisects the bracket around the first fold.
 
 A ``Branch`` keeps only its points and grid and derives the rest from
 them by one rule: the fold is the first sample where lambda turns (the
@@ -34,7 +34,7 @@ import numpy as np
 
 from ._lapack import dgbsv
 from .families import FamilyDomainError, NonlinearityFamily
-from .radial import RadialGrid, BandedOperator, minus_laplacian
+from .radial import RadialGrid, BandedOperator, minus_laplacian, solve_navier_biharmonic
 
 __all__ = [
     "SolverConfig",
@@ -84,7 +84,7 @@ class SolverConfig:
 
 @dataclass
 class BranchPoint:
-    """One converged solution at amplitude m, with v = K u = -Delta_h u and slope dlam_dm."""
+    """One solution at amplitude m, with v = K u = -Delta_h u and its tangent (du_dm, dlam_dm)."""
 
     m: float
     lam: float
@@ -94,6 +94,7 @@ class BranchPoint:
     newton_iters: int
     grid: RadialGrid = field(repr=False)
     dlam_dm: float = np.nan
+    du_dm: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -167,7 +168,7 @@ class ContinuationError(RuntimeError):
 def _residual(K: BandedOperator, D, family, u, lam, m):
     """Residual K(K u) - lambda f(u), its amplitude row, f(u), and the
     rowwise-scaled max-norm (inf, with no residual, where u leaves the
-    family's domain or f(u) is not finite).
+    family's domain or the residual or its scale overflows).
 
     Two tridiagonal products evaluate the residual; the K^2 stencil would
     cancel badly.  Its rows are measured against their binary64 rounding
@@ -178,18 +179,20 @@ def _residual(K: BandedOperator, D, family, u, lam, m):
         fu = family.f(u)
     except FamilyDomainError:
         return None, None, None, np.inf  # no f(u), so no residual to measure
-    if not np.all(np.isfinite(fu)):
-        return None, None, fu, np.inf  # f overflowed: no residual to measure
-    Ku = K.apply(u)
-    R = K.apply(Ku) - lam * fu
+    with np.errstate(over="ignore", invalid="ignore"):
+        Ku = K.apply(u)
+        R = K.apply(Ku) - lam * fu
+        scale = max(1.0, D * (D * float(np.max(np.abs(u))) + float(np.max(np.abs(Ku))))
+                    + abs(lam) * float(np.max(np.abs(fu))))
+    R_max = float(np.max(np.abs(R)))
+    if not np.isfinite(R_max + scale):
+        return None, None, fu, np.inf  # overflow: no residual to measure
     R_amp = u[0] - m
-    scale = max(1.0, D * (D * float(np.max(np.abs(u))) + float(np.max(np.abs(Ku))))
-                + abs(lam) * float(np.max(np.abs(fu))))
-    rn = max(float(np.max(np.abs(R))) / scale, abs(R_amp) / max(1.0, abs(m)))
+    rn = max(R_max / scale, abs(R_amp) / max(1.0, abs(m)))
     return R, R_amp, fu, rn
 
 
-def _newton(K, family, grid, m, u, lam, config) -> tuple[BranchPoint, np.ndarray]:
+def _newton(K, family, grid, m, u, lam, config) -> BranchPoint:
     """Damped bordered Newton on (u, lambda) at fixed amplitude.
 
     A point is accepted when the rowwise-scaled residual is below
@@ -203,7 +206,7 @@ def _newton(K, family, grid, m, u, lam, config) -> tuple[BranchPoint, np.ndarray
     step.  The accepted line-search trial's residual starts the next step.
     The m-derivative of the system, B du/dm = f(u) dlambda/dm with
     du/dm[0] = 1, makes the last solve's B z = -f(u) the branch tangent,
-    returned with the point: du/dm = z / z[0], dlambda/dm = -1 / z[0].
+    stored on the point: du/dm = z / z[0], dlambda/dm = -1 / z[0].
     """
     D = float(np.max(np.abs(K.diag)))
     res = _residual(K, D, family, u, lam, m)
@@ -214,7 +217,7 @@ def _newton(K, family, grid, m, u, lam, config) -> tuple[BranchPoint, np.ndarray
         R, R_amp, fu, rn = res
         if rn <= config.newton_tol and update_rel is not None and update_rel <= config.newton_tol:
             z0 = float(z[0])
-            return BranchPoint(m, float(lam), u, K.apply(u), rn, it, grid, -1.0 / z0), z / z0
+            return BranchPoint(m, float(lam), u, K.apply(u), rn, it, grid, -1.0 / z0, z / z0)
         if it == MAX_NEWTON:
             break
         # bandwidth (2, 2) in the gbsv layout (row 4 + i - j holds entry
@@ -253,18 +256,11 @@ def _newton(K, family, grid, m, u, lam, config) -> tuple[BranchPoint, np.ndarray
     raise NewtonDivergedError(f"no convergence in {MAX_NEWTON} iterations at m={m:g}")
 
 
-def _initial_guess(K, family, grid, m):
-    """Cold start for the smallest amplitude: parabolic profile, fitted lambda."""
-    u = m * (1.0 - grid.r**2)
-    fu = family.f(u)
-    if not np.all(np.isfinite(fu)):
-        raise NewtonDivergedError(f"f(u) overflows at the initial guess at m={m:g}")
-    # the fit against fu scaled by a power of two cannot overflow, and gives
-    # the same bits as the unscaled one wherever that one does not overflow
-    e = int(np.frexp(np.max(np.abs(fu)))[1])
-    g = np.ldexp(fu, -e)
-    lam = float(np.ldexp(float(K.apply(K.apply(u)) @ g) / float(g @ g), -e))
-    return u, max(lam, 1e-8)
+def _predict(point: BranchPoint, m: float) -> tuple[np.ndarray, float]:
+    """The Euler step from a solved point along its tangent to amplitude m:
+    the (u, lambda) every Newton solve starts from."""
+    dm = m - point.m
+    return point.u + dm * point.du_dm, point.lam + dm * point.dlam_dm
 
 
 def solve_at_amplitude(
@@ -276,21 +272,21 @@ def solve_at_amplitude(
 ) -> BranchPoint:
     """Solve the augmented system at amplitude m = u(center).
 
-    ``guess`` warm-starts Newton from an earlier point on the same grid.
+    Newton starts from the Euler step along the tangent of ``guess``, a
+    solved point on the same grid, or of the trivial point when none is given.
     """
     config = config or SolverConfig()
     if m <= 0.0:
         raise ValueError("amplitude must be positive")
     if family.singular and m > MEMS_M_MAX:
         raise ValueError(f"amplitude {m:g} exceeds the mems limit {MEMS_M_MAX:g}")
-    K = minus_laplacian(grid)
-    if guess is not None:
-        if guess.grid.key() != grid.key():
-            raise ValueError("warm-start point lives on a different grid")
-        u, lam = guess.u.copy(), guess.lam
-    else:
-        u, lam = _initial_guess(K, family, grid, m)
-    return _newton(K, family, grid, m, u, lam, config)[0]
+    if guess is None:
+        guess = trivial_point(grid)
+    elif guess.grid.key() != grid.key():
+        raise ValueError("warm-start point lives on a different grid")
+    elif guess.du_dm is None:
+        raise ValueError("warm-start point carries no tangent")
+    return _newton(minus_laplacian(grid), family, grid, m, *_predict(guess, m), config)
 
 
 def continue_branch(
@@ -299,18 +295,20 @@ def continue_branch(
     m_max: float,
     config: SolverConfig | None = None,
 ) -> Branch:
-    """March the amplitude from one step up to m_max, starting each solve from
-    the Euler step along the last point's tangent (the first from a parabola).
+    """March the amplitude from the trivial point up to m_max, starting each
+    solve from the Euler step along the last point's tangent.
 
-    Every amplitude tried is min(last accepted m + step, m_max), with 0
-    before the first point.  Steps halve whenever Newton diverges, and halve
-    again while the retry would still be clamped to m_max (it would repeat
-    the failed solve from the same start); they grow after fast convergence,
-    capped at MAX_STEP_FACTOR * amplitude_step.  A Newton trial outside the
-    family's domain is rejected by the line search like any other, and the
-    singular family is continued to at most MEMS_M_MAX = 1 - 1e-4.  The
-    bracket around the first fold is then refined; the returned Branch
-    derives the fold from its points.
+    Every amplitude tried is min(last accepted m + step, m_max).  Steps
+    halve whenever Newton diverges, and halve again while the retry would
+    still be clamped to m_max (it would repeat the failed solve from the
+    same start); they grow after fast convergence, capped at
+    MAX_STEP_FACTOR * amplitude_step.  A Newton trial outside the family's
+    domain, or whose residual overflows, is rejected by the line search like
+    any other, and the singular family is continued to at most
+    MEMS_M_MAX = 1 - 1e-4.  The bracket around the first fold, the trivial
+    point included, is then refined, and so is a partial branch: a step
+    below MIN_STEP_FACTOR * amplitude_step raises ContinuationError carrying
+    the refined Branch of the solved points.
     """
     config = config or SolverConfig()
     if m_max <= 0.0:
@@ -321,38 +319,33 @@ def continue_branch(
     step0 = config.amplitude_step
     step_cap = MAX_STEP_FACTOR * step0
     step_floor = MIN_STEP_FACTOR * step0
-    points: list[BranchPoint] = []
+    points = [trivial_point(grid)]
     step = min(step0, m_max)
-    while True:
-        m_last = points[-1].m if points else 0.0  # the last accepted amplitude
+    failure = ""
+    while not failure:
+        m_last = points[-1].m  # the last accepted amplitude
         m_target = min(m_last + step, m_max)  # first try, retry and next step
         if m_target <= m_last:
             break
         try:
-            if not points:
-                u, lam = _initial_guess(K, family, grid, m_target)
-            else:
-                dm = m_target - m_last
-                u, lam = points[-1].u + dm * du_dm, points[-1].lam + dm * points[-1].dlam_dm
-            pt, du_dm = _newton(K, family, grid, m_target, u, lam, config)
+            pt = _newton(K, family, grid, m_target, *_predict(points[-1], m_target), config)
         except NewtonDivergedError as exc:
             # halve until the retry moves off a clamped m_max: the solve
             # there would start from the same guess and fail the same way
-            while True:
+            step *= 0.5
+            while step >= step_floor and m_last + step >= m_max:
                 step *= 0.5
-                if step < step_floor:
-                    raise ContinuationError(
-                        f"step fell below {step_floor:g} near m={m_target:g}: {exc}",
-                        Branch(points, grid),
-                    ) from exc
-                if m_last + step < m_max:
-                    break
+            if step < step_floor:
+                failure = f"step fell below {step_floor:g} near m={m_target:g}: {exc}"
             continue
         points.append(pt)
         if pt.newton_iters <= 4:
             step = min(step * STEP_GROWTH, step_cap)
     _refine_fold_bracket(K, family, grid, config, points)
-    return Branch(points, grid)
+    branch = Branch(points[1:], grid)
+    if failure:
+        raise ContinuationError(failure, branch)
+    return branch
 
 
 def _refine_fold_bracket(K, family, grid, config, points) -> None:
@@ -382,13 +375,17 @@ def _refine_fold_bracket(K, family, grid, config, points) -> None:
         else:
             m_new, insert_at = 0.5 * (mid.m + right.m), k + 1
         try:
-            pt = _newton(K, family, grid, m_new, mid.u.copy(), mid.lam, config)[0]
+            pt = _newton(K, family, grid, m_new, *_predict(mid, m_new), config)
         except NewtonDivergedError:
             return
         points.insert(insert_at, pt)
 
 
 def trivial_point(grid: RadialGrid) -> BranchPoint:
-    """The zero solution at lambda = 0 (useful as a reference state)."""
+    """The zero solution at lambda = 0, where every branch starts, with its
+    exact tangent: f(0) = 1 turns the m-derivative of K^2 u = lambda f(u)
+    into K^2 du/dm = dlambda/dm, so du/dm = Phi / Phi(0) and dlambda/dm =
+    1 / Phi(0), with Phi = K^-2 1 the hinged-plate response to a unit load."""
+    Phi, _ = solve_navier_biharmonic(grid, np.ones(grid.size))
     z = np.zeros(grid.size)
-    return BranchPoint(0.0, 0.0, z, z.copy(), 0.0, 0, grid)
+    return BranchPoint(0.0, 0.0, z, z.copy(), 0.0, 0, grid, 1.0 / float(Phi[0]), Phi / Phi[0])

@@ -263,14 +263,15 @@ def _mu1_column(family, branch: Branch) -> list[float]:
 
 
 def _suprema_summary(family, branch: Branch) -> dict:
-    entries = [] if family.singular else list(check_crucial_integrals(family, branch))
-    for check in (check_L2, check_fprime_integral):
+    summary = {}
+    for check in (check_crucial_integrals, check_L2, check_fprime_integral):
         try:
-            entries.append(check(family, branch))
+            found = check(family, branch)
         except ValueError:  # the bound is not proved for this family
-            pass
-    return {sup.name: {"sup": sup.sup, "trend": sup.trend, "finite": sup.finite}
-            for sup in entries}
+            continue
+        for sup in found if isinstance(found, tuple) else (found,):
+            summary[sup.name] = {"sup": sup.sup, "trend": sup.trend, "finite": sup.finite}
+    return summary
 
 
 def _run_cell(cell: _Cell, command: str) -> dict:

@@ -1,5 +1,7 @@
 """Branch solver: manufactured oracle, small-amplitude law, folds, guards."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from navierlab.branch import (
     solve_at_amplitude,
     trivial_point,
 )
-from navierlab.families import exponential, mems, power
+from navierlab.families import exponential, mems, parse_family, power
 from navierlab.radial import RadialGrid, minus_laplacian, solve_navier_biharmonic
 
 
@@ -210,6 +212,9 @@ def test_warm_start_grid_mismatch():
     pt = solve_at_amplitude(exponential(), g1, 0.1)
     with pytest.raises(ValueError):
         solve_at_amplitude(exponential(), g2, 0.1, guess=pt)
+    # every solve starts from a tangent step, so a guess needs its tangent
+    with pytest.raises(ValueError):
+        solve_at_amplitude(exponential(), g1, 0.2, guess=dataclasses.replace(pt, du_dm=None))
 
 
 def test_newton_diverged_raises(monkeypatch):
@@ -220,10 +225,19 @@ def test_newton_diverged_raises(monkeypatch):
 
 
 def test_trivial_point_shape():
-    grid = RadialGrid(3, 64)
+    N = 3
+    grid = RadialGrid(N, 64)
     pt = trivial_point(grid)
     assert pt.m == 0.0 and pt.lam == 0.0
     assert np.all(pt.u == 0.0) and np.all(pt.v == 0.0)
+    # the exact tangent: K^2 du/dm = dlambda/dm f(0), f(0) = 1, du/dm(0) = 1
+    Phi, _ = solve_navier_biharmonic(grid, np.ones(grid.size))
+    assert pt.dlam_dm == 1.0 / Phi[0]
+    assert np.array_equal(pt.du_dm, Phi / Phi[0]) and pt.du_dm[0] == 1.0
+    K = minus_laplacian(grid)
+    assert np.allclose(K.apply(K.apply(pt.du_dm)), pt.dlam_dm, rtol=1e-8, atol=0.0)
+    closed = 8.0 * N**2 * (N + 2) / (N + 4)
+    assert abs(pt.dlam_dm - closed) / closed < 5e-3
 
 
 def test_solver_config_validation():
@@ -286,6 +300,22 @@ def test_refinement_bisects_the_last_flank():
     assert branch.amplitudes[k + 1] - branch.amplitudes[k - 1] <= 0.1 / FOLD_REFINE_FACTOR
     marched = continue_branch(fam, grid, 2.2, config)
     assert branch.lambda_star_estimate == pytest.approx(marched.lambda_star_estimate, rel=1e-9)
+
+
+@pytest.mark.parametrize("spec, N, n, m_max, step", [
+    ("exp", 3, 64, 12.0, 1.3),
+    ("power:p=2", 4, 64, 6.0, 2.0),
+    ("mems:p=2", 4, 64, MEMS_M_MAX, 0.5),
+    ("mems:p=0.557877", 3, 51, MEMS_M_MAX, 0.76),
+])
+def test_fold_between_the_first_two_samples(spec, N, n, m_max, step):
+    # lambda turns before the second sample, so refinement brackets the fold
+    # against the trivial point and finds the lambda* of a fine march
+    fam, grid = parse_family(spec), RadialGrid(N, n)
+    branch = continue_branch(fam, grid, m_max, SolverConfig(amplitude_step=step))
+    fine = continue_branch(fam, grid, m_max, SolverConfig(amplitude_step=0.05))
+    assert branch.fold_detected
+    assert branch.lambda_star_estimate == pytest.approx(fine.lambda_star_estimate, rel=1e-6)
 
 
 def test_mems_clamp_residual_budget(monkeypatch):

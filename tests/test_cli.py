@@ -228,9 +228,9 @@ def test_summary_records_effective_m_max(command, artifact, tmp_path, capsys):
     assert summary["m_max_effective"] == 1.0 - 1e-4
 
 
-# mems:p=0.557877 at N=3: the first solved point already has the largest lambda,
-# so no point lies before the fold
-NO_PRE_FOLD = ["--n", "51", "--m-max", "1.58", "--amplitude-step", "0.76"]
+# mems:p=0.557877 at N=3, one step to m-max: the branch is a single point where
+# lambda still rises, so no point lies before the fold
+NO_PRE_FOLD = ["--n", "51", "--m-max", "0.76", "--amplitude-step", "0.76"]
 
 
 def test_verify_without_pre_fold_point_is_not_applicable(tmp_path, capsys):
@@ -269,7 +269,7 @@ def test_verify_mems_p1_is_not_applicable(tmp_path, capsys):
 
 
 def test_sweep_cell_without_pre_fold_point_fails_estimates(tmp_path, capsys):
-    # the lambda maximum is the first point, so no fold was seen either
+    # the single point is the sampled lambda maximum, so no fold was seen either
     code, stdout = run(capsys, "sweep", "--families", "mems:p=0.557877", "--dims", "3",
                        *NO_PRE_FOLD, "--out", str(tmp_path / "nofold"))
     assert code == 3
@@ -298,7 +298,8 @@ def test_run_without_fold_is_inconclusive(command, artifact, tmp_path, capsys):
                                                ("verify", "verify_exp_N3.json")])
 def test_partial_branch_is_kept_and_flagged(command, artifact, tmp_path, capsys):
     # far past the fold e^u overflows binary64 near m = 709.8, so no Newton
-    # step there is finite; the points before are kept
+    # step there is finite; the points before are kept, and their fold is
+    # refined as that of a run that ends well before the overflow
     out = str(tmp_path / "partial")
     code, _ = run(capsys, command, "--family", "exp", "--N", "3", "--n", "64",
                   "--m-max", "800", "--amplitude-step", "1", "--out", out)
@@ -306,6 +307,11 @@ def test_partial_branch_is_kept_and_flagged(command, artifact, tmp_path, capsys)
     summary = json.loads(read(os.path.join(out, artifact)))
     assert summary["status"] == "partial"
     assert summary["fold_detected"] is True
+    full = str(tmp_path / "full")
+    assert main([command, "--family", "exp", "--N", "3", "--n", "64", "--m-max", "12",
+                 "--amplitude-step", "1", "--out", full]) == 0
+    lambda_star = json.loads(read(os.path.join(full, artifact)))["lambda_star_estimate"]
+    assert summary["lambda_star_estimate"] == pytest.approx(lambda_star, rel=1e-9)
 
 
 def test_no_stall_at_the_rounding_floor(tmp_path, capsys):
@@ -496,7 +502,9 @@ def test_failure_exit_codes(case, tmp_path, capsys):
 
 # (family, N, m-max, first amplitude) of runs that once leaked a numpy warning
 # or a domain error, with the exit code and stderr prefix they end with:
-# - exp at 700 overflowed f(u) @ f(u) in the initial-guess fit, at 800 e^u;
+# - exp at 700: the Euler step from the trivial point gives lambda f(u) beyond
+#   the double range, which the residual must read as infinite without a
+#   warning (it once overflowed f(u) @ f(u) in an initial-guess fit); at 800 e^u;
 # - power at 1e200 overflowed (1 + u)^p;
 # - power:p=3.5 in N = 5 took a Newton trial with u <= -1;
 # - exp marched in unit steps to 800 reaches e^u's overflow near m = 709.8,
