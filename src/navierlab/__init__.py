@@ -22,7 +22,7 @@ from .families import (
     mems,
     parse_family,
     g_aux,
-    gamma_limits,
+    curvature_ratio,
 )
 from .bootstrap import (
     ExponentParams,

@@ -184,9 +184,9 @@ def _residual(K: BandedOperator, D, family, u, lam, m):
         R = K.apply(Ku) - lam * fu
         scale = max(1.0, D * (D * float(np.max(np.abs(u))) + float(np.max(np.abs(Ku))))
                     + abs(lam) * float(np.max(np.abs(fu))))
-    R_max = float(np.max(np.abs(R)))
-    if not np.isfinite(R_max + scale):
-        return None, None, fu, np.inf  # overflow: no residual to measure
+        R_max = float(np.max(np.abs(R)))
+        if not np.isfinite(R_max + scale):  # the sum may overflow too
+            return None, None, fu, np.inf  # overflow: no residual to measure
     R_amp = u[0] - m
     rn = max(R_max / scale, abs(R_amp) / max(1.0, abs(m)))
     return R, R_amp, fu, rn
@@ -274,6 +274,11 @@ def solve_at_amplitude(
 
     Newton starts from the Euler step along the tangent of ``guess``, a
     solved point on the same grid, or of the trivial point when none is given.
+    Without a guess the start is lambda = m / Phi(0), which far past the fold
+    lies far above the branch and can stall: power(2) in N=4 on n=256 at
+    m=10 starts at lambda 960 against 29.4 on the branch, and the line search
+    stalls.  There, start from a solved neighbour on ``continue_branch``'s
+    branch (2 Newton steps in that case).
     """
     config = config or SolverConfig()
     if m <= 0.0:

@@ -54,6 +54,9 @@ EXIT_COMPUTE = 4
 
 # the most initial-size continuation steps a run may ask for
 MAX_CONTINUATION_STEPS = 10_000
+# the most interior grid nodes a run may ask for; exp N=3 with m_max 0.1
+# already ends in a compute failure at 2**16 of them
+MAX_GRID_NODES = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +228,8 @@ class _Cell:
 def _validate(cfg: RunConfig) -> _Cell:
     """Fail fast on bad values before any compute starts."""
     family = parse_family(cfg.family)
+    if cfg.n > MAX_GRID_NODES:  # checked before the grid's arrays are allocated
+        raise ValueError(f"n = {cfg.n} exceeds the limit of {MAX_GRID_NODES} grid nodes")
     grid = RadialGrid(cfg.N, cfg.n)
     solver = SolverConfig(newton_tol=cfg.tol, amplitude_step=cfg.amplitude_step)
     if not 0.0 < cfg.m_max < math.inf:

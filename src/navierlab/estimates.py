@@ -29,7 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .branch import Branch, BranchPoint
-from .families import NonlinearityFamily, g_aux, h_aux_grid, gamma_limits
+from .families import (
+    NonlinearityFamily,
+    curvature_ratio,
+    g_aux,
+    h_aux_grid,
+    require_estimate_hypotheses,
+)
 from .radial import integrate_radial, radial_gradient
 
 __all__ = [
@@ -208,19 +214,9 @@ def check_crucial_integrals(
 
 
 def check_L2(family: NonlinearityFamily, branch: Branch) -> BranchSupremum:
-    """Track int f(u)^2 dx over the pre-fold segment.
-
-    Requires a positive liminf of the curvature ratio, or the singular
-    family with p > 1 — the regimes in which the bound is proved.
-    """
-    lims = gamma_limits(family)
-    if family.singular:
-        if family.p is None or family.p <= 1.0:
-            raise ValueError("squared-mass bound for the singular family needs p > 1")
-    elif not lims.delta_liminf > 0.0:
-        raise ValueError(
-            "squared-mass bound requires liminf of f f''/(f')^2 to be positive"
-        )
+    """Track int f(u)^2 dx over the pre-fold segment, under the estimates'
+    hypothesis (the curvature ratio is positive for every family)."""
+    require_estimate_hypotheses(family)
     grid = branch.grid
 
     def sq(pt: BranchPoint) -> float:
@@ -231,16 +227,12 @@ def check_L2(family: NonlinearityFamily, branch: Branch) -> BranchSupremum:
 
 
 def check_fprime_integral(family: NonlinearityFamily, branch: Branch) -> BranchSupremum:
-    """Track int (f'(u))^(2/gamma) dx with gamma the curvature-ratio limsup.
-
-    Requires gamma in (0, 2); for the exponential family gamma = 1 and the
-    tracked integral coincides with the squared mass.
-    """
-    gamma = gamma_limits(family).gamma_limsup
-    if not 0.0 < gamma < 2.0:
-        raise ValueError(f"exponent bound needs curvature ratio in (0, 2), got {gamma:g}")
+    """Track int (f'(u))^(2/gamma) dx with gamma the curvature ratio, in
+    (0, 2) under the estimates' hypothesis; for exp gamma = 1 and the tracked
+    integral coincides with the squared mass."""
+    require_estimate_hypotheses(family)
     grid = branch.grid
-    expo = 2.0 / gamma
+    expo = 2.0 / curvature_ratio(family)
     boundary = float(family.fp(0.0) ** expo)
 
     def fp_pow(pt: BranchPoint) -> float:

@@ -7,16 +7,15 @@ Three closed-form families drive every computation in this package:
 * ``mems``   0 < p < inf :  f(t) = (1-t)^(-p) on [0,1) (singular at t = 1)
 
 The regular families are smooth, increasing and convex on their domain with
-f(0) = 1; the singular family blows up as t -> 1 (touchdown).  Besides
-f, f', f'' each family carries two auxiliary functions used by the a-priori
-estimates on semi-stable solutions:
+f(0) = 1; the singular family blows up as t -> 1 (touchdown).  The
+curvature ratio f*f''/(f')^2 is a constant per family (curvature_ratio), and
+the a-priori estimates on semi-stable solutions hold for a regular family or
+mems with p > 1 (require_estimate_hypotheses).  They use two auxiliary
+functions:
 
     g(t) = sqrt(2) * (int_0^t (f(s) - 1) ds)^(1/2)        (regular families)
     g(t) = sqrt(2/(p-1)) * ((1-t)^(-(p-1)/2) - 1)          (mems, p > 1)
     H(t) = int_0^t f''(s) g(s) ds
-
-and the curvature ratio f*f''/(f')^2, whose limit at the right end of the
-domain governs which regularity thresholds apply.
 
 Closed forms are used wherever they exist.  The one remaining integral, H
 for the regular families, uses a composite 8-point Gauss-Legendre rule on
@@ -30,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +41,8 @@ __all__ = [
     "parse_family",
     "g_aux",
     "h_aux_grid",
-    "GammaLimits",
-    "gamma_limits",
+    "curvature_ratio",
+    "require_estimate_hypotheses",
 ]
 
 
@@ -53,19 +51,6 @@ class FamilyDomainError(ValueError):
 
 
 _KINDS = ("exp", "power", "mems")
-
-
-def _exp(t: np.ndarray):
-    """e^t, +inf where that exceeds the double range (with no overflow warning)."""
-    with np.errstate(over="ignore"):
-        return np.exp(t)
-
-
-def _pow(base: np.ndarray, exponent: float):
-    """base^exponent for base > 0, +inf where that exceeds the double range (with
-    no overflow warning)."""
-    with np.errstate(over="ignore"):
-        return base**exponent
 
 
 @dataclass(frozen=True)
@@ -119,32 +104,27 @@ class NonlinearityFamily:
             if np.any(t >= 1.0):
                 raise FamilyDomainError("mems family needs t < 1 (touchdown)")
 
-    def f(self, t):
+    def _derivative(self, k: int, t):
+        """f^(k)(t) for k = 0, 1, 2 in closed form, +inf where that exceeds
+        the double range (with no overflow warning)."""
         t = np.asarray(t, dtype=float)
         self._check_domain(t)
-        if self.kind == "exp":
-            return _exp(t)
-        if self.kind == "power":
-            return _pow(1.0 + t, self.p)
-        return _pow(1.0 - t, -self.p)
+        p = self.p
+        with np.errstate(over="ignore"):
+            if self.kind == "exp":
+                return np.exp(t)
+            if self.kind == "power":
+                return math.prod(p - i for i in range(k)) * (1.0 + t) ** (p - k)
+            return math.prod(p + i for i in range(k)) * (1.0 - t) ** -(p + k)
+
+    def f(self, t):
+        return self._derivative(0, t)
 
     def fp(self, t):
-        t = np.asarray(t, dtype=float)
-        self._check_domain(t)
-        if self.kind == "exp":
-            return _exp(t)
-        if self.kind == "power":
-            return self.p * _pow(1.0 + t, self.p - 1.0)
-        return self.p * _pow(1.0 - t, -(self.p + 1.0))
+        return self._derivative(1, t)
 
     def fpp(self, t):
-        t = np.asarray(t, dtype=float)
-        self._check_domain(t)
-        if self.kind == "exp":
-            return _exp(t)
-        if self.kind == "power":
-            return self.p * (self.p - 1.0) * _pow(1.0 + t, self.p - 2.0)
-        return self.p * (self.p + 1.0) * _pow(1.0 - t, -(self.p + 2.0))
+        return self._derivative(2, t)
 
 
 def exponential() -> NonlinearityFamily:
@@ -180,18 +160,32 @@ def parse_family(spec: str) -> NonlinearityFamily:
 
 
 # ---------------------------------------------------------------------------
-# auxiliary functions g and H
+# curvature ratio, the estimates' hypothesis, auxiliary functions g and H
 # ---------------------------------------------------------------------------
+
+
+def curvature_ratio(family: NonlinearityFamily) -> float:
+    """f*f''/(f')^2, a constant per family and so its own liminf and limsup:
+    1 for exp, 1 - 1/p for power, (p+1)/p for mems."""
+    if family.kind == "exp":
+        return 1.0
+    if family.kind == "power":
+        return 1.0 - 1.0 / family.p
+    return (family.p + 1.0) / family.p
+
+
+def require_estimate_hypotheses(family: NonlinearityFamily) -> None:
+    """Raise FamilyDomainError unless the a-priori estimates apply: a regular
+    family, or mems with p > 1 (the test 0 < curvature_ratio < 2)."""
+    if family.kind == "mems" and not family.p > 1.0:
+        raise FamilyDomainError("mems auxiliary functions require p > 1")
 
 
 def _check_aux_domain(family: NonlinearityFamily, t: np.ndarray) -> None:
     if np.any(t < 0.0):
         raise FamilyDomainError("auxiliary functions are defined for t >= 0")
-    if family.kind == "mems":
-        if family.p is None or family.p <= 1.0:
-            raise FamilyDomainError("mems auxiliary functions require p > 1")
-        if np.any(t >= 1.0):
-            raise FamilyDomainError("mems family needs t < 1 (touchdown)")
+    require_estimate_hypotheses(family)
+    family._check_domain(t)
 
 
 def g_aux(family: NonlinearityFamily, t):
@@ -284,28 +278,3 @@ def h_aux_grid(family: NonlinearityFamily, values: np.ndarray) -> np.ndarray:
     out = np.empty_like(values)
     out[order] = np.cumsum(np.bincount(gap_of, weights=panel_sums, minlength=gaps.size))
     return out
-
-
-# ---------------------------------------------------------------------------
-# curvature-ratio limits
-# ---------------------------------------------------------------------------
-
-
-class GammaLimits(NamedTuple):
-    gamma_limsup: float
-    delta_liminf: float
-
-
-def gamma_limits(family: NonlinearityFamily) -> GammaLimits:
-    """Limits of the curvature ratio f*f''/(f')^2.
-
-    The ratio is constant for every family here, so limsup and liminf agree:
-    1 for exp, 1 - 1/p for power, (p+1)/p for mems (taken as t -> 1).
-    """
-    if family.kind == "exp":
-        return GammaLimits(1.0, 1.0)
-    if family.kind == "power":
-        val = 1.0 - 1.0 / family.p
-        return GammaLimits(val, val)
-    val = (family.p + 1.0) / family.p
-    return GammaLimits(val, val)

@@ -195,6 +195,19 @@ def test_one_residual_per_iterate(monkeypatch):
     assert len(set(seen)) == len(seen)
 
 
+def test_residual_overflowing_scale_sum_warns_nothing():
+    # the residual's max-norm and its scale are finite (e^709.5 is about
+    # 1.4e308) but their sum overflows; with a numpy scalar lambda, as after
+    # the first Newton step, that sum must not warn (the suite makes any
+    # warning an error)
+    grid = RadialGrid(3, 64)
+    K = minus_laplacian(grid)
+    D = float(np.max(np.abs(K.diag)))
+    u = np.full(grid.size, 709.5)
+    *_, rn = branch_module._residual(K, D, exponential(), u, np.float64(1.0), 709.5)
+    assert rn == np.inf
+
+
 def test_singular_jacobian_raises(monkeypatch):
     # a zero pivot in the banded factorization surfaces as LinAlgError,
     # which the command line maps to a compute failure

@@ -268,6 +268,31 @@ def test_verify_mems_p1_is_not_applicable(tmp_path, capsys):
     assert estimates.splitlines() == ["estimate,m,lambda,lhs,rhs,margin,satisfied"]
 
 
+ALL_SUPREMA = ["f-squared", "f32-over-sqrt-u", "fprime-power", "mass-of-f"]
+SINGULAR_SUPREMA = ["f-squared", "fprime-power"]
+
+
+@pytest.mark.parametrize("family, suprema, status", [
+    ("exp", ALL_SUPREMA, "ok"),
+    ("power:p=2", ALL_SUPREMA, "ok"),
+    ("mems:p=2", SINGULAR_SUPREMA, "ok"),
+    ("mems:p=1.0000000000000002", SINGULAR_SUPREMA, "ok"),
+    ("mems:p=1", [], "not-applicable"),
+    ("mems:p=0.5", [], "not-applicable"),
+])
+def test_verify_suprema_per_family(family, suprema, status, tmp_path, capsys):
+    # the ratio and mass integrals apply to the regular families only; the
+    # squared mass and the f' power need the estimates' hypothesis, mems p > 1
+    out = str(tmp_path / "run")
+    code = main(["verify", "--family", family, "--N", "3", "--n", "64", "--out", out])
+    capsys.readouterr()
+    assert code == (0 if status == "ok" else 2)
+    (name,) = [f for f in os.listdir(out) if f.startswith("verify_")]
+    summary = json.loads(read(os.path.join(out, name)))
+    assert sorted(summary["suprema"]) == suprema
+    assert summary.get("status", "ok") == status
+
+
 def test_sweep_cell_without_pre_fold_point_fails_estimates(tmp_path, capsys):
     # the single point is the sampled lambda maximum, so no fold was seen either
     code, stdout = run(capsys, "sweep", "--families", "mems:p=0.557877", "--dims", "3",
@@ -471,6 +496,7 @@ FAILING = {
     "branch-tol-inf": ["branch", "--family", "exp", "--tol", "inf"],
     "branch-tol-loose": ["branch", "--family", "exp", "--tol", "1e-3"],
     "branch-step-inf": ["branch", "--family", "exp", "--amplitude-step", "inf"],
+    "branch-huge-grid": ["branch", "--family", "exp", "--n", "10000000000000"],
 }
 
 

@@ -24,7 +24,8 @@ from navierlab.families import (
     parse_family,
     g_aux,
     h_aux_grid,
-    gamma_limits,
+    curvature_ratio,
+    require_estimate_hypotheses,
 )
 
 ALL_FAMILIES = [exponential(), power(1.5), power(2.0), power(4.0), mems(1.5), mems(2.0), mems(3.0)]
@@ -380,32 +381,44 @@ def test_fundamental_ratio_bound():
 def test_derivative_growth_bound():
     # f'(u) <= C0 f^gamma(u) with C0 = max(1, f'(M)/f^gamma(M)) at M = 0
     for fam in REGULAR_FAMILIES:
-        gamma = gamma_limits(fam).gamma_limsup
+        gamma = curvature_ratio(fam)
         c0 = max(1.0, float(fam.fp(0.0)))
         for u in np.linspace(0.0, 20.0, 50):
             assert fam.fp(u) <= c0 * fam.f(u) ** gamma * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
-# curvature-ratio limits
+# curvature ratio and the estimates' hypothesis
 # ---------------------------------------------------------------------------
 
 
-def test_gamma_limits_values():
-    assert gamma_limits(exponential()) == (1.0, 1.0)
+def test_curvature_ratio_values():
+    assert curvature_ratio(exponential()) == 1.0
     for p in (1.5, 2.0, 4.0):
-        lims = gamma_limits(power(p))
-        assert abs(lims.gamma_limsup - (1.0 - 1.0 / p)) < 1e-15
-        assert lims.gamma_limsup == lims.delta_liminf
+        assert abs(curvature_ratio(power(p)) - (1.0 - 1.0 / p)) < 1e-15
     for p in (1.5, 2.0, 3.0):
-        lims = gamma_limits(mems(p))
-        assert abs(lims.gamma_limsup - (p + 1.0) / p) < 1e-15
-        assert lims.gamma_limsup == lims.delta_liminf
+        assert abs(curvature_ratio(mems(p)) - (p + 1.0) / p) < 1e-15
 
 
-def test_gamma_limits_match_sampled_ratio():
+def test_curvature_ratio_matches_sampled_ratio():
     # the ratio f f''/(f')^2 is constant for every family here; the exp
     # sample stays below the overflow threshold of the squared derivative
     for fam, t in [(exponential(), 300.0), (power(2.0), 1e6), (power(4.0), 1e6), (mems(2.0), 1.0 - 1e-9)]:
         ratio = fam.f(t) * fam.fpp(t) / fam.fp(t) ** 2
-        assert abs(ratio - gamma_limits(fam).gamma_limsup) < 1e-8
+        assert abs(ratio - curvature_ratio(fam)) < 1e-8
+
+
+@pytest.mark.parametrize("fam", [
+    exponential(), power(1.0 + 2.0**-52), power(2.0),
+    mems(1.0 + 2.0**-52), mems(1.0), mems(1.0 - 2.0**-53), mems(0.5), mems(1e-320),
+], ids=lambda fam: fam.spec)
+def test_estimate_hypotheses_are_the_curvature_ratio_in_zero_two(fam):
+    # a regular family or mems with p > 1, which is 0 < ratio < 2 in binary64
+    # too, the p closest to 1 on either side included
+    applies = 0.0 < curvature_ratio(fam) < 2.0
+    assert applies == (not fam.singular or fam.p > 1.0)
+    if applies:
+        require_estimate_hypotheses(fam)
+    else:
+        with pytest.raises(FamilyDomainError, match="require p > 1"):
+            require_estimate_hypotheses(fam)
