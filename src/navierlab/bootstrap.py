@@ -98,17 +98,6 @@ class BootstrapTrace:
     fixed_point: float | None = None
     escape_steps: int | None = None
 
-    def as_dict(self) -> dict:
-        out = {
-            "sequence": list(self.sequence),
-            "classification": self.classification,
-        }
-        if self.fixed_point is not None:
-            out["fixed_point"] = self.fixed_point
-        if self.escape_steps is not None:
-            out["escape_steps"] = self.escape_steps
-        return out
-
 
 def iterate_q(q0: float, alpha: float, beta: float, N: int) -> float:
     """One step of the primal recursion alpha*N*q0 / (N*q0 + beta*(N-4*q0))."""
@@ -169,14 +158,6 @@ class RegularityVerdict:
     N: int
     verdict: str  # REGULAR or UNKNOWN
     rule: str  # tag of the predicate that decided (RULE_NONE when none fired)
-
-    def as_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "N": self.N,
-            "verdict": self.verdict,
-            "rule": self.rule,
-        }
 
 
 def regularity_from_growth(

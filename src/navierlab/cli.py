@@ -54,8 +54,13 @@ EXIT_COMPUTE = 4
 
 # the most initial-size continuation steps a run may ask for
 MAX_CONTINUATION_STEPS = 10_000
-# the most interior grid nodes a run may ask for; exp N=3 with m_max 0.1
-# already ends in a compute failure at 2**16 of them
+# the most interior grid nodes a run may ask for.  branch and sweep lose mu1
+# from about 2**15-2**16 of them (verify never computes it): the stability
+# certificate's margin 2 eps ||T||_1 grows like n^4 and outgrows the gap
+# mu2 - mu1 (about 1,461 for exp N=3 near the trivial solution; the margin
+# is 0.38 at n = 2,048 and 24,790 at 32,768), so inverse iteration takes 3,
+# 24 and 229 solves at n = 2,048, 16,384 and 32,768 and exp N=3 with m_max
+# 0.1 ends in a compute failure at 2**16
 MAX_GRID_NODES = 2**20
 
 
@@ -341,7 +346,7 @@ def _run_cell(cell: _Cell, command: str) -> dict:
                 summary["status"] = record["status"]  # absent means ok
             _write_atomic(os.path.join(cfg.out, f"verify_{tag}.json"), _json_text(summary))
         else:
-            rows = ((pt.m, pt.lam, pt.u[0], max(pt.u), mu, pt.residual_norm, pt.newton_iters)
+            rows = ((pt.m, pt.lam, pt.u[0], np.max(pt.u), mu, pt.residual_norm, pt.newton_iters)
                     for pt, mu in zip(branch.points, mu1))
             _write_atomic(os.path.join(cfg.out, f"branch_{tag}.csv"),
                           _csv_text(_BRANCH_HEADER, rows))
@@ -366,7 +371,7 @@ def _run_cell(cell: _Cell, command: str) -> dict:
 def cmd_predict(args) -> int:
     family = parse_family(args.family)
     verdict = bs.predict_regularity(family, args.N)
-    text = _json_text(verdict.as_dict())
+    text = _json_text(asdict(verdict))
     sys.stdout.write(text)
     if args.out:
         _write_atomic(args.out, text)
@@ -381,7 +386,8 @@ def cmd_bootstrap(args) -> int:
         "q0": args.q,
         "alpha": args.alpha,
         "beta": args.beta,
-        "trace": trace.as_dict(),
+        # fixed_point and escape_steps are omitted when unset
+        "trace": {k: v for k, v in asdict(trace).items() if v is not None},
     }
     text = _json_text(record)
     sys.stdout.write(text)

@@ -76,6 +76,14 @@ class RadialGrid:
         if self.n < 4:
             raise ValueError("need at least 4 interior nodes")
         h = 1.0 / (self.n + 1)
+        # the center cell's volume weight (see volume_weights) must not
+        # underflow to 0: the stability solve divides by its square root.
+        # With h/2 <= 0.1, (h/2)^N is 0 by N = 344, where Gamma(N/2) starts to
+        # overflow, so unit_sphere_area is only reached below that.
+        w0 = (h / 2.0) ** self.dim_N / self.dim_N
+        if w0 == 0.0 or unit_sphere_area(self.dim_N) * w0 == 0.0:
+            raise ValueError(f"dimension {self.dim_N} is too large for {self.n} interior "
+                             "nodes: the center cell's volume weight underflows to 0")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "r", np.arange(0, self.n + 1) * h)
 

@@ -35,6 +35,7 @@ def test_predict_exponential_eight(capsys):
     code, out = run(capsys, "predict", "--family", "exp", "--N", "8")
     assert code == 0
     record = json.loads(out)
+    assert set(record) == {"family", "N", "verdict", "rule"}
     assert record["verdict"] == "regular"
     assert record["family"] == "exp" and record["N"] == 8
 
@@ -81,6 +82,7 @@ def test_bootstrap_increasing(capsys):
     code, out = run(capsys, "bootstrap", "--N", "6", "--q", "1", "--alpha", "1.5", "--beta", "0.5")
     assert code == 0
     trace = json.loads(out)["trace"]
+    assert set(trace) == {"sequence", "classification", "fixed_point"}
     assert trace["classification"] == "increasing-to-fixed-point"
     assert trace["fixed_point"] == pytest.approx(1.5)
 
@@ -89,7 +91,27 @@ def test_bootstrap_escape(capsys):
     code, out = run(capsys, "bootstrap", "--N", "5", "--q", "1", "--alpha", "1.5", "--beta", "0.5")
     assert code == 0
     trace = json.loads(out)["trace"]
+    assert set(trace) == {"sequence", "classification", "fixed_point", "escape_steps"}
     assert trace["classification"] == "escapes-above-quarter-dimension"
+
+
+def test_bootstrap_start_above_quarter_dimension(capsys):
+    # q0 > N/4 escapes at once, before the fixed point is computed
+    code, out = run(capsys, "bootstrap", "--N", "6", "--q", "2", "--alpha", "1.5", "--beta", "0.5")
+    assert code == 0
+    trace = json.loads(out)["trace"]
+    assert trace == {"sequence": [2.0], "classification": "escapes-above-quarter-dimension",
+                     "escape_steps": 0}
+
+
+def test_bootstrap_trace_omits_unset_fields(capsys):
+    # N = 4 beta has no fixed point, and one step neither escapes nor converges
+    code, out = run(capsys, "bootstrap", "--N", "6", "--q", "1", "--alpha", "2",
+                    "--beta", "1.5", "--steps", "1")
+    assert code == 3
+    trace = json.loads(out)["trace"]
+    assert set(trace) == {"sequence", "classification"}
+    assert trace["classification"] == "inconclusive"
 
 
 def test_bootstrap_constant_at_fixed_point(capsys):
@@ -497,6 +519,11 @@ FAILING = {
     "branch-tol-loose": ["branch", "--family", "exp", "--tol", "1e-3"],
     "branch-step-inf": ["branch", "--family", "exp", "--amplitude-step", "inf"],
     "branch-huge-grid": ["branch", "--family", "exp", "--n", "10000000000000"],
+    # the center cell's volume weight underflows to 0 (N = 127 is the first
+    # such dimension at n = 64), and at N = 400 Gamma(N/2) overflows
+    "branch-underflowing-weights": ["branch", "--family", "exp", "--N", "127", "--m-max", "1"],
+    "branch-sphere-area-overflow": ["branch", "--family", "exp", "--N", "400", "--n", "4",
+                                    "--m-max", "1"],
 }
 
 

@@ -1,6 +1,7 @@
 """Family evaluation, auxiliary functions and their quadrature oracles; the
 package's import footprint and its LAPACK binding."""
 
+import importlib
 import math
 import os
 import re
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import navierlab
 from navierlab._lapack import load_flapack
 from navierlab.families import (
     FamilyDomainError,
@@ -287,6 +289,13 @@ def test_import_leaves_scipy_integrate_unloaded():
     result = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                             text=True, check=True, timeout=120)
     assert result.stdout.strip() == "['scipy.linalg._flapack']"
+
+
+def test_package_exports_every_public_name():
+    for name in ("families", "bootstrap", "radial", "branch", "stability", "estimates"):
+        module = importlib.import_module(f"navierlab.{name}")
+        for public in module.__all__:
+            assert getattr(navierlab, public, None) is getattr(module, public), (name, public)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")

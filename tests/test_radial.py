@@ -54,6 +54,16 @@ def test_grid_validation():
         RadialGrid(3, 2)
 
 
+@pytest.mark.parametrize("n, first_N", [(4, 209), (64, 127), (2048, 82)])
+def test_grid_rejects_underflowing_center_weight(n, first_N):
+    # one dimension below the bound the center weight is still positive
+    assert volume_weights(RadialGrid(first_N - 1, n))[0] > 0.0
+    with pytest.raises(ValueError, match="underflows"):
+        RadialGrid(first_N, n)
+    with pytest.raises(ValueError, match="underflows"):  # not Gamma(N/2)'s OverflowError
+        RadialGrid(400, n)
+
+
 # ---------------------------------------------------------------------------
 # Laplacian stencil
 # ---------------------------------------------------------------------------
