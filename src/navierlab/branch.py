@@ -287,7 +287,7 @@ def solve_at_amplitude(
         raise ValueError(f"amplitude {m:g} exceeds the mems limit {MEMS_M_MAX:g}")
     if guess is None:
         guess = trivial_point(grid)
-    elif guess.grid.key() != grid.key():
+    elif guess.grid != grid:
         raise ValueError("warm-start point lives on a different grid")
     elif guess.du_dm is None:
         raise ValueError("warm-start point carries no tangent")

@@ -203,7 +203,9 @@ def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
     return RunConfig(**values), lists
 
 
-def _parse_dims(spec: str) -> list[int]:
+def _parse_dims(spec: str, n: int) -> list[int]:
+    """The dimensions of a comma list of entries N or N..M.  Both ends of a
+    range pass the grid check on n before it is expanded."""
     dims: list[int] = []
     for part in spec.split(","):
         part = part.strip()
@@ -211,9 +213,13 @@ def _parse_dims(spec: str) -> list[int]:
             continue
         lo, dots, hi = part.partition("..")
         try:
-            dims.extend(range(int(lo), int(hi) + 1) if dots else [int(part)])
+            lo, hi = int(lo), int(hi if dots else lo)
         except ValueError:
             raise ValueError(f"dims entry {part!r} in {spec!r} is not N or N..M") from None
+        if dots:
+            _grid(lo, n)
+            _grid(hi, n)
+        dims.extend(range(lo, hi + 1))
     if not dims:
         raise ValueError(f"empty dimension list {spec!r}")
     return sorted(set(dims))
@@ -230,12 +236,16 @@ class _Cell:
     m_max: float  # the amplitude the continuation runs to: m_max, clamped for mems
 
 
+def _grid(N: int, n: int) -> RadialGrid:
+    if n > MAX_GRID_NODES:  # checked before the grid's arrays are allocated
+        raise ValueError(f"n = {n} exceeds the limit of {MAX_GRID_NODES} grid nodes")
+    return RadialGrid(N, n)
+
+
 def _validate(cfg: RunConfig) -> _Cell:
     """Fail fast on bad values before any compute starts."""
     family = parse_family(cfg.family)
-    if cfg.n > MAX_GRID_NODES:  # checked before the grid's arrays are allocated
-        raise ValueError(f"n = {cfg.n} exceeds the limit of {MAX_GRID_NODES} grid nodes")
-    grid = RadialGrid(cfg.N, cfg.n)
+    grid = _grid(cfg.N, cfg.n)
     solver = SolverConfig(newton_tol=cfg.tol, amplitude_step=cfg.amplitude_step)
     if not 0.0 < cfg.m_max < math.inf:
         raise ValueError("m_max must be positive and finite")
@@ -404,7 +414,7 @@ def cmd_run(args) -> int:
         fams = [f.strip() for f in lists.get("families", "").split(",") if f.strip()]
         if not fams or "dims" not in lists:
             raise ValueError("sweep needs --families and --dims")
-        dims = _parse_dims(lists["dims"])
+        dims = _parse_dims(lists["dims"], cfg.n)
         configs = [replace(cfg, family=f, N=N) for f in fams for N in dims]
     cells = [_validate(c) for c in configs]
     os.makedirs(cfg.out, exist_ok=True)  # an unusable --out fails before any compute
@@ -419,12 +429,14 @@ def cmd_run(args) -> int:
     unique = {(c.cfg.family, c.cfg.N): c for c in cells}
     cells = [replace(c, cfg=replace(c.cfg, jobs=1, dump_fields=False)) for c in unique.values()]
     run = partial(_run_cell, command="sweep")
-    if cfg.jobs > 1 and len(cells) > 1:
+    # the pool forks all its workers at once, so no more than there are cores
+    workers = min(cfg.jobs, len(cells), os.cpu_count() or 1)
+    if workers > 1:
         # imported here so that commands without a worker pool never load
         # multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(cells))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run, cells))
     else:
         records = [run(cell) for cell in cells]

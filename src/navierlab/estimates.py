@@ -3,7 +3,7 @@
 Semi-stable solutions of the fourth-order problem obey a family of a-priori
 bounds; this module evaluates both sides of each of them numerically, and
 each report derives its margin rhs - lhs and its verdict from the two.
-Per-point checks:
+``run_pointwise_suite`` makes the four per-point checks, in this order:
 
 * pointwise lower bound     v >= sqrt(lambda) g(u)            on the grid
 * energy estimate           int f''(u) v |grad u|^2 <= lambda int f(u)
@@ -17,7 +17,8 @@ trend approaching the fold.  Points past the sampled fold are evaluated on
 request but never asserted — the inequalities are statements about the
 semi-stable segment only.
 
-Satisfaction uses tol = 1e-6 * max(|lhs|, |rhs|, 1).  Integrands carry
+Satisfaction uses tol = 1e-6 * max(|lhs|, |rhs|, 1), and for the pointwise
+bound 1e-6 * max(max |v|, max sqrt(lambda) g(u), 1).  Integrands carry
 their boundary values explicitly (u vanishes there, f(0) = 1 does not).
 """
 
@@ -41,10 +42,6 @@ from .radial import integrate_radial, radial_gradient
 __all__ = [
     "EstimateReport",
     "BranchSupremum",
-    "check_pointwise_bound",
-    "check_energy_estimate",
-    "check_gH_estimate",
-    "check_basic_energy",
     "run_pointwise_suite",
     "check_crucial_integrals",
     "check_L2",
@@ -82,7 +79,6 @@ class EstimateReport:
     tol: float
     m: float
     lam: float
-    grid_id: str
 
     @property
     def margin(self) -> float:
@@ -98,7 +94,6 @@ class BranchSupremum:
     """One integral tracked along the pre-fold segment of a branch."""
 
     name: str
-    amplitudes: list[float]
     values: list[float]
 
     @property
@@ -115,59 +110,35 @@ class BranchSupremum:
         return all(math.isfinite(v) for v in self.values)
 
 
-def _tol(lhs: float, rhs: float) -> float:
-    return TOL_FACTOR * max(abs(lhs), abs(rhs), 1.0)
-
-
-def _report(name: str, point: BranchPoint, lhs: float, rhs: float, tol: float) -> EstimateReport:
-    return EstimateReport(name, lhs, rhs, tol, point.m, point.lam, point.grid.key())
-
-
-def check_pointwise_bound(family: NonlinearityFamily, point: BranchPoint) -> EstimateReport:
-    """Nodewise v - sqrt(lambda) g(u) >= 0; lhs is the largest excess of the
-    bound over v, so the margin is the grid minimum of v - bound."""
-    gu = np.asarray(g_aux(family, point.u), dtype=float)
-    bound = math.sqrt(max(point.lam, 0.0)) * gu
-    scale = max(float(np.max(np.abs(point.v))), float(np.max(bound)), 1.0)
-    lhs = float(np.max(bound - point.v))
-    return _report(POINTWISE_BOUND, point, lhs, 0.0, TOL_FACTOR * scale)
-
-
-def check_energy_estimate(family: NonlinearityFamily, point: BranchPoint) -> EstimateReport:
-    """int f''(u) v (u')^2 dx <= lambda int f(u) dx."""
-    grid = point.grid
-    du = radial_gradient(point.u, grid)
-    lhs = integrate_radial(family.fpp(point.u) * point.v * du**2, grid, outer=0.0)
-    rhs = point.lam * integrate_radial(family.f(point.u), grid, outer=float(family.f(0.0)))
-    return _report(ENERGY, point, lhs, rhs, _tol(lhs, rhs))
-
-
-def check_gH_estimate(family: NonlinearityFamily, point: BranchPoint) -> EstimateReport:
-    """int g(u) H(u) dx <= int f(u) dx."""
-    grid = point.grid
-    gu = np.asarray(g_aux(family, point.u), dtype=float)
-    Hu = h_aux_grid(family, point.u)
-    lhs = integrate_radial(gu * Hu, grid, outer=0.0)
-    rhs = integrate_radial(family.f(point.u), grid, outer=float(family.f(0.0)))
-    return _report(G_H, point, lhs, rhs, _tol(lhs, rhs))
-
-
-def check_basic_energy(family: NonlinearityFamily, point: BranchPoint) -> EstimateReport:
-    """int f'(u) u^2 dx <= int f(u) u dx."""
-    grid = point.grid
-    lhs = integrate_radial(family.fp(point.u) * point.u**2, grid, outer=0.0)
-    rhs = integrate_radial(family.f(point.u) * point.u, grid, outer=0.0)
-    return _report(BASIC_ENERGY, point, lhs, rhs, _tol(lhs, rhs))
-
-
 def run_pointwise_suite(family: NonlinearityFamily, point: BranchPoint) -> list[EstimateReport]:
-    """All four per-point checks in a fixed order."""
-    return [
-        check_pointwise_bound(family, point),
-        check_energy_estimate(family, point),
-        check_gH_estimate(family, point),
-        check_basic_energy(family, point),
-    ]
+    """The four per-point checks at one point, in the order listed above.
+
+    g(u) is evaluated first, so a family outside the estimates' hypothesis
+    raises before any other work; f(u) and int f(u) are then evaluated once
+    and shared by the reports that use them.  The pointwise report's lhs is
+    the largest excess of sqrt(lambda) g(u) over v and its rhs is 0, so its
+    margin is the grid minimum of v - sqrt(lambda) g(u).
+    """
+    grid, u, v, lam = point.grid, point.u, point.v, point.lam
+    gu = np.asarray(g_aux(family, u), dtype=float)
+    fu = family.f(u)
+    mass = integrate_radial(fu, grid, outer=float(family.f(0.0)))
+
+    bound = math.sqrt(max(lam, 0.0)) * gu
+    scale = max(float(np.max(np.abs(v))), float(np.max(bound)), 1.0)
+    reports = [EstimateReport(POINTWISE_BOUND, float(np.max(bound - v)), 0.0,
+                              TOL_FACTOR * scale, point.m, lam)]
+    du = radial_gradient(u, grid)
+    sides = (
+        (ENERGY, integrate_radial(family.fpp(u) * v * du**2, grid, outer=0.0), lam * mass),
+        (G_H, integrate_radial(gu * h_aux_grid(family, u), grid, outer=0.0), mass),
+        (BASIC_ENERGY, integrate_radial(family.fp(u) * u**2, grid, outer=0.0),
+         integrate_radial(fu * u, grid, outer=0.0)),
+    )
+    for name, lhs, rhs in sides:
+        tol = TOL_FACTOR * max(abs(lhs), abs(rhs), 1.0)
+        reports.append(EstimateReport(name, lhs, rhs, tol, point.m, lam))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +160,7 @@ def _last_quarter_trend(values: list[float]) -> float:
 
 
 def _track(name: str, branch: Branch, integrand_of_point) -> BranchSupremum:
-    pts = branch.pre_fold_points
-    return BranchSupremum(name, [pt.m for pt in pts], [integrand_of_point(pt) for pt in pts])
+    return BranchSupremum(name, [integrand_of_point(pt) for pt in branch.pre_fold_points])
 
 
 def check_crucial_integrals(

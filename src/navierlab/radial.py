@@ -92,9 +92,6 @@ class RadialGrid:
         """Number of active nodes (length of a field)."""
         return self.n + 1
 
-    def key(self) -> str:
-        return f"ball-N{self.dim_N}-n{self.n}"
-
     def json_header(self) -> dict:
         return {"N": self.dim_N, "n": self.n, "r_inner": 0.0, "r_outer": 1.0}
 

@@ -178,7 +178,7 @@ def test_branch_builds_the_laplacian_once(tmp_path, capsys, monkeypatch):
     build = radial.laplacian_matrix
 
     def counting(grid):
-        calls.append(grid.key())
+        calls.append(grid)
         return build(grid)
 
     monkeypatch.setattr(radial, "laplacian_matrix", counting)
@@ -448,6 +448,35 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
     assert a == b
 
 
+@pytest.mark.parametrize("cores, jobs, pool", [(2, 1000, [2]), (None, 1000, []), (8, 3, [3])])
+def test_sweep_pool_is_capped_at_the_cores(cores, jobs, pool, tmp_path, capsys, monkeypatch):
+    # the executor forks all its workers at the first task, so it gets no
+    # more of them than there are cores (one when the count is unknown)
+    import concurrent.futures
+
+    sizes = []
+
+    class InlinePool:  # records its size and runs each task in this process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    code, _ = run(capsys, "sweep", "--families", "exp,power:p=2", "--dims", "3..4", *FOLDED,
+                  "--jobs", str(jobs), "--out", str(tmp_path / "s"))
+    assert code == 0
+    assert sizes == pool
+
+
 def test_sweep_spells_each_family_once(tmp_path, capsys):
     # exp twice, and power:p=2 under a second spelling, run one cell each
     out = str(tmp_path / "dup")
@@ -519,6 +548,8 @@ FAILING = {
     "branch-tol-loose": ["branch", "--family", "exp", "--tol", "1e-3"],
     "branch-step-inf": ["branch", "--family", "exp", "--amplitude-step", "inf"],
     "branch-huge-grid": ["branch", "--family", "exp", "--n", "10000000000000"],
+    # each end of a range is checked against the grid before it is expanded
+    "sweep-huge-dims-range": ["sweep", "--families", "exp", "--dims", "3..999999999999"],
     # the center cell's volume weight underflows to 0 (N = 127 is the first
     # such dimension at n = 64), and at N = 400 Gamma(N/2) overflows
     "branch-underflowing-weights": ["branch", "--family", "exp", "--N", "127", "--m-max", "1"],

@@ -3,6 +3,7 @@ sanity inversions, preconditions, and the exponential identity."""
 
 import math
 
+import numpy as np
 import pytest
 
 from navierlab.branch import Branch, BranchPoint, continue_branch, trivial_point
@@ -12,16 +13,12 @@ from navierlab.estimates import (
     G_H,
     POINTWISE_BOUND,
     check_L2,
-    check_basic_energy,
     check_crucial_integrals,
-    check_energy_estimate,
     check_fprime_integral,
-    check_gH_estimate,
-    check_pointwise_bound,
     run_pointwise_suite,
 )
-from navierlab.families import exponential, mems, power
-from navierlab.radial import RadialGrid, integrate_radial
+from navierlab.families import exponential, g_aux, h_aux_grid, mems, power
+from navierlab.radial import RadialGrid, integrate_radial, radial_gradient
 
 
 @pytest.fixture(scope="module")
@@ -48,31 +45,36 @@ def single_point_branch(pt, second_lam=1.0):
     return Branch([pt, filler], pt.grid)
 
 
+def suite(fam, pt):
+    """The per-point reports by name."""
+    return {rep.name: rep for rep in run_pointwise_suite(fam, pt)}
+
+
 # ---------------------------------------------------------------------------
 # trivial state
 # ---------------------------------------------------------------------------
 
 
 def test_trivial_pointwise_bound():
-    rep = check_pointwise_bound(exponential(), trivial_point(RadialGrid(3, 128)))
+    rep = suite(exponential(), trivial_point(RadialGrid(3, 128)))[POINTWISE_BOUND]
     assert rep.margin == 0.0 and rep.satisfied
 
 
 def test_trivial_energy():
-    rep = check_energy_estimate(exponential(), trivial_point(RadialGrid(3, 128)))
+    rep = suite(exponential(), trivial_point(RadialGrid(3, 128)))[ENERGY]
     assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.satisfied
 
 
 def test_trivial_gH():
     grid = RadialGrid(3, 256)
-    rep = check_gH_estimate(exponential(), trivial_point(grid))
+    rep = suite(exponential(), trivial_point(grid))[G_H]
     assert rep.lhs == 0.0
     assert rep.rhs == pytest.approx(4.0 * math.pi / 3.0, rel=1e-9)  # f(0) |Omega|
     assert rep.satisfied
 
 
 def test_trivial_basic_energy():
-    rep = check_basic_energy(exponential(), trivial_point(RadialGrid(3, 128)))
+    rep = suite(exponential(), trivial_point(RadialGrid(3, 128)))[BASIC_ENERGY]
     assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.satisfied
 
 
@@ -115,18 +117,40 @@ def test_all_pre_fold_points_certified(exp_branch):
             assert rep.satisfied, (rep.name, pt.m)
 
 
+@pytest.mark.parametrize("which", ["exp_branch", "power_branch", "mems_branch"])
+def test_reports_pin_the_four_formulas(which, request):
+    # each report's two sides are exactly the inequality's two integrals
+    fam, branch = request.getfixturevalue(which)
+    pt = branch.pre_fold_points[len(branch.pre_fold_points) // 2]
+    grid, u, v, lam = pt.grid, pt.u, pt.v, pt.lam
+    mass = integrate_radial(fam.f(u), grid, outer=float(fam.f(0.0)))
+    du = radial_gradient(u, grid)
+    expected = {
+        POINTWISE_BOUND: (float(np.max(math.sqrt(lam) * g_aux(fam, u) - v)), 0.0),
+        ENERGY: (integrate_radial(fam.fpp(u) * v * du**2, grid), lam * mass),
+        G_H: (integrate_radial(g_aux(fam, u) * h_aux_grid(fam, u), grid), mass),
+        BASIC_ENERGY: (integrate_radial(fam.fp(u) * u**2, grid),
+                       integrate_radial(fam.f(u) * u, grid)),
+    }
+    reports = suite(fam, pt)
+    assert list(reports) == list(expected)
+    for name, (lhs, rhs) in expected.items():
+        assert (reports[name].lhs, reports[name].rhs) == (lhs, rhs), name
+
+
 def test_power_and_mems_gH(power_branch, mems_branch):
     for fam, branch in (power_branch, mems_branch):
         pt = branch.pre_fold_points[-1]
-        assert check_gH_estimate(fam, pt).satisfied
-        assert check_basic_energy(fam, pt).satisfied
+        reports = suite(fam, pt)
+        assert reports[G_H].satisfied
+        assert reports[BASIC_ENERGY].satisfied
 
 
 def test_negated_field_fails_pointwise(exp_branch):
     fam, branch = exp_branch
     pt = branch.pre_fold_points[-1]
     flipped = BranchPoint(pt.m, pt.lam, pt.u, -pt.v, pt.residual_norm, 0, pt.grid)
-    rep = check_pointwise_bound(fam, flipped)
+    rep = suite(fam, flipped)[POINTWISE_BOUND]
     assert not rep.satisfied and rep.margin < 0.0
 
 
@@ -134,7 +158,7 @@ def test_post_fold_reports_produced_not_asserted(exp_branch):
     # hypothesis fails past the fold: the report must still be computable
     fam, branch = exp_branch
     post = branch.points[-1]
-    rep = check_energy_estimate(fam, post)
+    rep = suite(fam, post)[ENERGY]
     assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs)
 
 
@@ -173,10 +197,10 @@ def test_quadrature_consistency(exp_branch):
     # doubling the grid moves the certified integrals by a small margin
     fam, branch = exp_branch
     pt = branch.pre_fold_points[-1]
-    rep = check_gH_estimate(fam, pt)
+    rep = suite(fam, pt)[G_H]
     fine_grid = RadialGrid(3, 1024)
     fine = continue_branch(fam, fine_grid, pt.m + 1e-9)
-    rep_fine = check_gH_estimate(fam, fine.points[-1])
+    rep_fine = suite(fam, fine.points[-1])[G_H]
     assert abs(rep.lhs - rep_fine.lhs) <= 1e-4 * max(abs(rep_fine.lhs), 1.0)
     assert abs(rep.rhs - rep_fine.rhs) <= 1e-4 * max(abs(rep_fine.rhs), 1.0)
 
@@ -209,7 +233,6 @@ def test_fprime_rejects_gamma_out_of_range():
 def test_report_metadata(exp_branch):
     fam, branch = exp_branch
     pt = branch.pre_fold_points[0]
-    rep = check_basic_energy(fam, pt)
+    rep = suite(fam, pt)[BASIC_ENERGY]
     assert rep.m == pt.m and rep.lam == pt.lam
-    assert rep.grid_id == branch.grid.key()
     assert rep.tol == pytest.approx(1e-6 * max(abs(rep.lhs), abs(rep.rhs), 1.0))

@@ -44,7 +44,9 @@ def test_grid_geometry():
     assert g.r[0] == 0.0 and abs(g.r[-1] - (1.0 - g.h)) < 1e-14
     assert np.all(np.diff(g.r) > 0)
     assert g.json_header() == {"N": 3, "n": 100, "r_inner": 0.0, "r_outer": 1.0}
-    assert "ball-N3-n100" == g.key()
+    # a grid's identity is its (N, n)
+    assert g == RadialGrid(3, 100) and hash(g) == hash(RadialGrid(3, 100))
+    assert g != RadialGrid(4, 100) and g != RadialGrid(3, 101)
 
 
 def test_grid_validation():
