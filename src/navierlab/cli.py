@@ -3,10 +3,11 @@
 Outputs are plain CSV and JSON written atomically (temp file + rename) so a
 crashed run never leaves a half-written artifact, and deterministically:
 floats are printed with 17 significant digits, JSON keys are sorted, and no
-timestamps or environment data enter the files.  A flat ``key = value``
-config file (with ``#`` comments) can hold any option; command-line flags
-override it, and unknown keys are errors.  The fields of ``RunConfig`` are
-the config schema.
+timestamps or environment data enter the files.  Each run command's parser
+is its one option schema and accepts only the options the command reads.  A
+flat ``key = value`` config file (with ``#`` comments) is read as that
+command's flags by the same parser, and flags on the command line override
+it.  ``RunConfig`` records a run's settings in every summary.
 
 branch, verify and every sweep cell run one pipeline: validate, compute,
 write.  Every cell's config becomes its typed inputs (family, grid, solver
@@ -29,7 +30,6 @@ import sys
 import tempfile
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
-from typing import get_type_hints
 
 import numpy as np
 
@@ -146,8 +146,8 @@ def _write_atomic(path: str, text: str) -> None:
 
 @dataclass
 class RunConfig:
-    """One run's settings.  Each field is a config key and a key of the
-    summaries' ``config`` dict."""
+    """One run's settings, as every summary's ``config`` dict records them.
+    A field the command takes no option for keeps its default."""
 
     family: str = "exp"
     N: int = 3
@@ -160,47 +160,57 @@ class RunConfig:
     dump_fields: bool = False
 
 
-# sweep-only keys, comma-separated lists kept as text until the grid is built
-_SWEEP_KEYS = ("families", "dims")
+# each run option's argparse keywords, by config-file key: the flag with _ for -
+_OPTIONS = {
+    "family": {"help": "exp | power:p=<real> | mems:p=<real>"},
+    "N": {"type": int, "help": "space dimension"},
+    "families": {"help": "comma-separated family specs"},
+    "dims": {"help": "e.g. 3..8 or 3,5,8"},
+    "n": {"type": int, "help": "interior grid nodes"},
+    "m_max": {"type": float, "help": "largest amplitude to continue to"},
+    "tol": {"type": float, "help": "Newton residual tolerance"},
+    "amplitude_step": {"type": float},
+    "out": {"help": "output directory"},
+    "dump_fields": {"action": "store_true", "help": "write one CSV per solved profile"},
+    "jobs": {"type": int, "help": "worker processes"},
+}
+# the options each run command reads, besides --config
+_RUN_OPTIONS = {
+    "branch": ("family", "N", "n", "m_max", "tol", "amplitude_step", "out", "dump_fields"),
+    "verify": ("family", "N", "n", "m_max", "tol", "amplitude_step", "out"),
+    "sweep": ("families", "dims", "n", "m_max", "tol", "amplitude_step", "out", "jobs"),
+}
 
 
-def _parse_config_file(path: str) -> dict:
-    types = get_type_hints(RunConfig) | dict.fromkeys(_SWEEP_KEYS, str)
-    values: dict = {}
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _config_values(parser: argparse.ArgumentParser, path: str, command: str) -> dict:
+    """The options a config file sets, read by the command's own parser as
+    flags: ``key = value`` is ``--key=value``, and a switch's ``true`` or
+    ``1`` is the bare flag and its ``false`` or ``0`` nothing."""
+    tokens = [command]
     with open(path) as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            key, eq, val = (part.strip() for part in line.partition("="))
+            if not eq:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            val = val.strip()
-            if key not in types:
+            if key not in _RUN_OPTIONS[command]:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            typ = types[key]
-            if typ is bool:
-                if val.lower() not in ("true", "false", "0", "1"):
-                    raise ValueError(f"{path}:{lineno}: bad boolean {val!r}")
-                values[key] = val.lower() in ("true", "1")
-            else:
-                values[key] = typ(val)
-    return values
-
-
-def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
-    """File values first, explicit flags second.
-
-    Returns the run config and the sweep-only keys that are set.
-    """
-    values = _parse_config_file(args.config) if args.config else {}
-    for key in (*(f.name for f in fields(RunConfig)), *_SWEEP_KEYS):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    lists = {key: values.pop(key) for key in _SWEEP_KEYS if key in values}
-    return RunConfig(**values), lists
+            if _OPTIONS[key].get("action") != "store_true":
+                tokens.append(f"{_flag(key)}={val}")
+            elif val.lower() in ("true", "1"):
+                tokens.append(_flag(key))
+            elif val.lower() not in ("false", "0"):
+                raise ValueError(f"{path}:{lineno}: bad boolean {val!r}")
+    try:
+        return vars(parser.parse_args(tokens))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_dims(spec: str, n: int) -> list[int]:
@@ -214,8 +224,11 @@ def _parse_dims(spec: str, n: int) -> list[int]:
         lo, dots, hi = part.partition("..")
         try:
             lo, hi = int(lo), int(hi if dots else lo)
+            if lo > hi:
+                raise ValueError
         except ValueError:
-            raise ValueError(f"dims entry {part!r} in {spec!r} is not N or N..M") from None
+            raise ValueError(f"dims entry {part!r} in {spec!r} is not N or N..M "
+                             "with N <= M") from None
         if dots:
             _grid(lo, n)
             _grid(hi, n)
@@ -378,43 +391,37 @@ def _run_cell(cell: _Cell, command: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_predict(args) -> int:
-    family = parse_family(args.family)
-    verdict = bs.predict_regularity(family, args.N)
-    text = _json_text(asdict(verdict))
+def _print_json(record: dict, out: str | None) -> None:
+    text = _json_text(record)
     sys.stdout.write(text)
-    if args.out:
-        _write_atomic(args.out, text)
+    if out:
+        _write_atomic(out, text)
+
+
+def cmd_predict(args) -> int:
+    _print_json(asdict(bs.predict_regularity(parse_family(args.family), args.N)), args.out)
     return EXIT_OK
 
 
 def cmd_bootstrap(args) -> int:
     params = bs.ExponentParams(args.N, args.q, args.alpha, args.beta)
     trace = bs.run_bootstrap(params, max_steps=args.steps)
-    record = {
-        "N": args.N,
-        "q0": args.q,
-        "alpha": args.alpha,
-        "beta": args.beta,
-        # fixed_point and escape_steps are omitted when unset
-        "trace": {k: v for k, v in asdict(trace).items() if v is not None},
-    }
-    text = _json_text(record)
-    sys.stdout.write(text)
-    if args.out:
-        _write_atomic(args.out, text)
+    # fixed_point and escape_steps are omitted when unset
+    _print_json({"N": args.N, "q0": args.q, "alpha": args.alpha, "beta": args.beta,
+                 "trace": {k: v for k, v in asdict(trace).items() if v is not None}}, args.out)
     return EXIT_INCONCLUSIVE if trace.classification == bs.INCONCLUSIVE else EXIT_OK
 
 
 def cmd_run(args) -> int:
     """branch, verify and sweep: validate every cell, then run them."""
-    cfg, lists = _resolve_config(args)
+    options = vars(args)  # the options given, as flags or in the config file
+    cfg = RunConfig(**{f.name: options[f.name] for f in fields(RunConfig) if f.name in options})
     configs = [cfg]
     if args.command == "sweep":
-        fams = [f.strip() for f in lists.get("families", "").split(",") if f.strip()]
-        if not fams or "dims" not in lists:
+        fams = [f.strip() for f in options.get("families", "").split(",") if f.strip()]
+        if not fams or "dims" not in options:
             raise ValueError("sweep needs --families and --dims")
-        dims = _parse_dims(lists["dims"], cfg.n)
+        dims = _parse_dims(options["dims"], cfg.n)
         configs = [replace(cfg, family=f, N=N) for f in fams for N in dims]
     cells = [_validate(c) for c in configs]
     os.makedirs(cfg.out, exist_ok=True)  # an unusable --out fails before any compute
@@ -425,9 +432,8 @@ def cmd_run(args) -> int:
         sys.stdout.write(_json_text(record["summary"]))
         return EXIT_OK
     # a family spelled twice runs once; each cell runs alone in its worker
-    # and dumps no fields
     unique = {(c.cfg.family, c.cfg.N): c for c in cells}
-    cells = [replace(c, cfg=replace(c.cfg, jobs=1, dump_fields=False)) for c in unique.values()]
+    cells = [replace(c, cfg=replace(c.cfg, jobs=1)) for c in unique.values()]
     run = partial(_run_cell, command="sweep")
     # the pool forks all its workers at once, so no more than there are cores
     workers = min(cfg.jobs, len(cells), os.cpu_count() or 1)
@@ -454,24 +460,15 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_run_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--family", dest="family", default=None,
-                     help="exp | power:p=<real> | mems:p=<real>")
-    sub.add_argument("--N", dest="N", type=int, default=None, help="space dimension")
-    sub.add_argument("--n", dest="n", type=int, default=None, help="interior grid nodes")
-    sub.add_argument("--m-max", dest="m_max", type=float, default=None,
-                     help="largest amplitude to continue to")
-    sub.add_argument("--tol", dest="tol", type=float, default=None,
-                     help="Newton residual tolerance")
-    sub.add_argument("--amplitude-step", dest="amplitude_step", type=float, default=None)
-    sub.add_argument("--out", dest="out", default=None, help="output directory")
-    sub.add_argument("--jobs", dest="jobs", type=int, default=None, help="worker processes")
-    sub.add_argument("--config", default=None, help="flat key = value config file")
-    sub.set_defaults(func=cmd_run)
+class _Parser(argparse.ArgumentParser):
+    """Hands a usage error to the failure table, not to argparse's exit."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="navierlab",
         description="Minimal branches, stability and estimate certification "
         "for the fourth-order eigenvalue problem with hinged boundary conditions.",
@@ -493,18 +490,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bootstrap)
 
-    p = subs.add_parser("branch", help="continue the minimal branch, write CSV + JSON")
-    _add_run_flags(p)
-    p.add_argument("--dump-fields", dest="dump_fields", action="store_const", const=True,
-                   default=None, help="write one CSV per solved profile")
-
-    p = subs.add_parser("verify", help="certify the estimates along a branch")
-    _add_run_flags(p)
-
-    p = subs.add_parser("sweep", help="branch + verify over families x dimensions")
-    _add_run_flags(p)
-    p.add_argument("--families", default=None, help="comma-separated family specs")
-    p.add_argument("--dims", default=None, help="e.g. 3..8 or 3,5,8")
+    for command, text in (("branch", "continue the minimal branch, write CSV + JSON"),
+                          ("verify", "certify the estimates along a branch"),
+                          ("sweep", "branch + verify over families x dimensions")):
+        # an option not given stays unset: a file's value survives, RunConfig has the default
+        p = subs.add_parser(command, help=text, argument_default=argparse.SUPPRESS)
+        for key in _RUN_OPTIONS[command]:
+            p.add_argument(_flag(key), **_OPTIONS[key])
+        p.add_argument("--config", help="flat key = value config file")
+        p.set_defaults(func=cmd_run)
     return parser
 
 
@@ -512,10 +506,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
+        if hasattr(args, "config"):  # the flags override the file
+            args = argparse.Namespace(**(_config_values(parser, args.config, args.command)
+                                         | vars(args)))
         return args.func(args)
+    except SystemExit:  # the parser exits only after printing --help
+        return EXIT_OK
     except _FAILURE_TYPES as exc:
         return _fail(_status(exc), str(exc))
 

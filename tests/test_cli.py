@@ -26,6 +26,31 @@ def read(path, mode="r"):
         return handle.read()
 
 
+def inline_pool(monkeypatch, cores):
+    """Stand in for the sweep's worker pool and the core count.  The list
+    returned receives each pool's size; its tasks run in this process."""
+    import concurrent.futures
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    return sizes
+
+
 # ---------------------------------------------------------------------------
 # predict
 # ---------------------------------------------------------------------------
@@ -71,6 +96,36 @@ def test_infinite_exponent_is_usage_error(argv, tmp_path, capsys):
 def test_usage_error_exit_code(capsys):
     assert main([]) == 2
     assert main(["predict"]) == 2
+
+
+# command lines the parser rejects, each ending like any other usage error
+PARSE_ERRORS = {
+    "misspelled-flag": ["branch", "--famly", "exp"],
+    "missing-value": ["branch", "--family", "exp", "--n"],
+    "bad-value": ["branch", "--family", "exp", "--n", "x"],
+    "missing-command": [],
+    "unknown-command": ["bogus"],
+    "unknown-config-key": ["branch", "--config", "{cfg}"],
+    "empty-config-path": ["branch", "--config", ""],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_parse_errors_go_through_the_failure_table(case, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("famly = exp\n")
+    argv = [a.format(cfg=cfg) for a in PARSE_ERRORS[case]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["branch", "--help"], ["sweep", "-h"]])
+def test_help_exits_zero(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: navierlab")
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +459,90 @@ def test_config_bad_line(tmp_path, capsys):
     assert code == 2
 
 
+def test_config_bad_value_names_the_file(tmp_path, capsys):
+    cfg = tmp_path / "bad3.cfg"
+    cfg.write_text("n = x\n")
+    assert main(["branch", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: argument --n: invalid int value: 'x'\n"
+
+
+def _flags(options):
+    argv = []
+    for key, value in options.items():
+        flag = "--" + key.replace("_", "-")
+        argv += [flag] if key == "dump_fields" else [flag, value]
+    return argv
+
+
+# every option each run command reads, none at its default
+READ = {
+    "branch": {"family": "power:p=2", "N": "4", "n": "64", "m_max": "3", "tol": "1e-9",
+               "amplitude_step": "0.1", "dump_fields": "true"},
+    "verify": {"family": "power:p=2", "N": "4", "n": "64", "m_max": "3", "tol": "1e-9",
+               "amplitude_step": "0.1"},
+    "sweep": {"families": "exp,power:p=2", "dims": "3..4", "n": "64", "m_max": "2.2",
+              "tol": "1e-9", "amplitude_step": "0.1", "jobs": "2"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(READ))
+def test_config_key_matches_flag(command, tmp_path, capsys, monkeypatch):
+    # a key = value line and its flag reach the summaries' config alike
+    sizes = inline_pool(monkeypatch, cores=2)
+    out = tmp_path / "run"
+    options = {**READ[command], "out": str(out)}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in options.items()))
+    results = []
+    for argv in (_flags(options), ["--config", str(cfg)]):
+        if out.exists():
+            for name in os.listdir(out):
+                os.unlink(out / name)
+        code, stdout = run(capsys, command, *argv)
+        configs = {name: json.loads(read(out / name))["config"]
+                   for name in sorted(os.listdir(out)) if name.startswith(("branch", "verify"))
+                   and name.endswith(".json")}
+        results.append((code, stdout, sorted(os.listdir(out)), configs))
+    assert results[0] == results[1]
+    assert results[0][0] == 0
+    expected = {"n": 64, "tol": 1e-9, "amplitude_step": 0.1, "out": str(out), "jobs": 1,
+                "dump_fields": command == "branch"}
+    if command == "sweep":
+        expected["m_max"] = 2.2
+        assert sizes == [2, 2]  # the pool had the two workers --jobs asks for
+        assert len(results[0][3]) == 4
+    else:
+        expected.update(family="power:p=2", N=4, m_max=3.0)
+        assert len(results[0][3]) == 1
+    for config in results[0][3].values():
+        assert {key: config[key] for key in expected} == expected
+
+
+# the options a run command does not read, each with a value it would take
+UNREAD = [("branch", "families", "exp"), ("branch", "dims", "3"), ("branch", "jobs", "2"),
+          ("verify", "families", "exp"), ("verify", "dims", "3"), ("verify", "jobs", "2"),
+          ("verify", "dump_fields", "true"), ("sweep", "family", "exp"), ("sweep", "N", "3"),
+          ("sweep", "dump_fields", "true")]
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("command, key, value", UNREAD)
+def test_unread_option_is_a_usage_error(command, key, value, form, tmp_path, capsys):
+    if form == "flag":
+        given = _flags({key: value})
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        given = ["--config", str(cfg)]
+    lists = ["--families", "exp", "--dims", "3"] if command == "sweep" else ["--family", "exp"]
+    out = tmp_path / "run"
+    code = main([command, *lists, *given, "--n", "64", "--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert not out.exists()
+
+
 def test_invalid_grid_is_usage_error(capsys):
     code, _ = run(capsys, "branch", "--family", "exp", "--N", "3", "--n", "2")
     assert code == 2
@@ -452,25 +591,7 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
 def test_sweep_pool_is_capped_at_the_cores(cores, jobs, pool, tmp_path, capsys, monkeypatch):
     # the executor forks all its workers at the first task, so it gets no
     # more of them than there are cores (one when the count is unknown)
-    import concurrent.futures
-
-    sizes = []
-
-    class InlinePool:  # records its size and runs each task in this process
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    sizes = inline_pool(monkeypatch, cores)
     code, _ = run(capsys, "sweep", "--families", "exp,power:p=2", "--dims", "3..4", *FOLDED,
                   "--jobs", str(jobs), "--out", str(tmp_path / "s"))
     assert code == 0
@@ -498,16 +619,18 @@ def test_sweep_requires_lists(capsys):
     assert main(["sweep", "--families", "bogus", "--dims", "3"]) == 2
 
 
-@pytest.mark.parametrize("dims", ["x", "3..", "3..x"])
+@pytest.mark.parametrize("dims", ["x", "3..", "3..x", "5..3"])
 def test_malformed_dims_name_the_entry(dims, tmp_path, capsys):
-    # the flag and the config-file key reach the same parser
+    # the entry fails before, after or without a valid one, and the flag and
+    # the config-file key reach the same parser
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(f"families = exp\ndims = 4,{dims}\n")
-    for argv in (["--families", "exp", "--dims", f"4,{dims}"], ["--config", str(cfg)]):
-        code = main(["sweep", *argv, "--n", "64", "--out", str(tmp_path / "run")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err == f"error: dims entry {dims!r} in '4,{dims}' is not N or N..M\n"
+    for spec in (f"4,{dims}", f"{dims},4", dims):
+        cfg.write_text(f"families = exp\ndims = {spec}\n")
+        for argv in (["--families", "exp", "--dims", spec], ["--config", str(cfg)]):
+            code = main(["sweep", *argv, "--n", "64", "--out", str(tmp_path / "run")])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err == f"error: dims entry {dims!r} in {spec!r} is not N or N..M with N <= M\n"
     assert not (tmp_path / "run").exists()
 
 
