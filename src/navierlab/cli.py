@@ -4,10 +4,10 @@ Outputs are plain CSV and JSON written atomically (temp file + rename) so a
 crashed run never leaves a half-written artifact, and deterministically:
 floats are printed with 17 significant digits, JSON keys are sorted, and no
 timestamps or environment data enter the files.  Each run command's parser
-is its one option schema and accepts only the options the command reads.  A
-flat ``key = value`` config file (with ``#`` comments) is read as that
-command's flags by the same parser, and flags on the command line override
-it.  ``RunConfig`` records a run's settings in every summary.
+is its one option schema: it accepts only the options the command reads, one
+spelling each, and reads a flat ``key = value`` config file (``#`` comments)
+as the same flags, which the command line overrides.  ``RunConfig`` records a
+run's settings in every summary.
 
 branch, verify and every sweep cell run one pipeline: validate, compute,
 write.  Every cell's config becomes its typed inputs (family, grid, solver
@@ -182,10 +182,6 @@ _RUN_OPTIONS = {
 }
 
 
-def _flag(key: str) -> str:
-    return "--" + key.replace("_", "-")
-
-
 def _config_values(parser: argparse.ArgumentParser, path: str, command: str) -> dict:
     """The options a config file sets, read by the command's own parser as
     flags: ``key = value`` is ``--key=value``, and a switch's ``true`` or
@@ -201,10 +197,11 @@ def _config_values(parser: argparse.ArgumentParser, path: str, command: str) -> 
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             if key not in _RUN_OPTIONS[command]:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            flag = "--" + key.replace("_", "-")
             if _OPTIONS[key].get("action") != "store_true":
-                tokens.append(f"{_flag(key)}={val}")
+                tokens.append(f"{flag}={val}")
             elif val.lower() in ("true", "1"):
-                tokens.append(_flag(key))
+                tokens.append(flag)
             elif val.lower() not in ("false", "0"):
                 raise ValueError(f"{path}:{lineno}: bad boolean {val!r}")
     try:
@@ -391,24 +388,31 @@ def _run_cell(cell: _Cell, command: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _print_json(record: dict, out: str | None) -> None:
-    text = _json_text(record)
-    sys.stdout.write(text)
-    if out:
-        _write_atomic(out, text)
-
-
 def cmd_predict(args) -> int:
-    _print_json(asdict(bs.predict_regularity(parse_family(args.family), args.N)), args.out)
+    family = parse_family(args.family)
+    verdict = bs.predict_regularity(family, args.N)
+    text = _json_text(asdict(verdict))
+    sys.stdout.write(text)
+    if args.out:
+        _write_atomic(args.out, text)
     return EXIT_OK
 
 
 def cmd_bootstrap(args) -> int:
     params = bs.ExponentParams(args.N, args.q, args.alpha, args.beta)
     trace = bs.run_bootstrap(params, max_steps=args.steps)
-    # fixed_point and escape_steps are omitted when unset
-    _print_json({"N": args.N, "q0": args.q, "alpha": args.alpha, "beta": args.beta,
-                 "trace": {k: v for k, v in asdict(trace).items() if v is not None}}, args.out)
+    record = {
+        "N": args.N,
+        "q0": args.q,
+        "alpha": args.alpha,
+        "beta": args.beta,
+        # fixed_point and escape_steps are omitted when unset
+        "trace": {k: v for k, v in asdict(trace).items() if v is not None},
+    }
+    text = _json_text(record)
+    sys.stdout.write(text)
+    if args.out:
+        _write_atomic(args.out, text)
     return EXIT_INCONCLUSIVE if trace.classification == bs.INCONCLUSIVE else EXIT_OK
 
 
@@ -461,9 +465,7 @@ def cmd_run(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Hands a usage error to the failure table, not to argparse's exit."""
-
-    def error(self, message):
+    def error(self, message):  # to the failure table, not to argparse's exit
         raise ValueError(message)
 
 
@@ -493,10 +495,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, text in (("branch", "continue the minimal branch, write CSV + JSON"),
                           ("verify", "certify the estimates along a branch"),
                           ("sweep", "branch + verify over families x dimensions")):
-        # an option not given stays unset: a file's value survives, RunConfig has the default
-        p = subs.add_parser(command, help=text, argument_default=argparse.SUPPRESS)
+        # not given stays unset (a file's value or RunConfig's default holds); no abbreviations
+        p = subs.add_parser(command, help=text, argument_default=argparse.SUPPRESS,
+                            allow_abbrev=False)
         for key in _RUN_OPTIONS[command]:
-            p.add_argument(_flag(key), **_OPTIONS[key])
+            p.add_argument("--" + key.replace("_", "-"), **_OPTIONS[key])
         p.add_argument("--config", help="flat key = value config file")
         p.set_defaults(func=cmd_run)
     return parser

@@ -101,6 +101,8 @@ def test_usage_error_exit_code(capsys):
 # command lines the parser rejects, each ending like any other usage error
 PARSE_ERRORS = {
     "misspelled-flag": ["branch", "--famly", "exp"],
+    "abbreviated-flag": ["branch", "--fam", "exp"],
+    "abbreviated-sweep-flag": ["sweep", "--families", "exp", "--dim", "3"],
     "missing-value": ["branch", "--family", "exp", "--n"],
     "bad-value": ["branch", "--family", "exp", "--n", "x"],
     "missing-command": [],
