@@ -14,7 +14,8 @@ by the lambda column and the constraint row.  LAPACK ``dgbsv`` (from
 ``navierlab._lapack``, without the ``scipy.linalg`` package init) factors
 it.  Every solve starts from the Euler step along a solved point's tangent;
 continuation starts at the trivial solution (lambda, u) = (0, 0), marches m
-upward with adaptive steps, then bisects the bracket around the first fold.
+upward with adaptive steps until one sample lies past the first fold (or m
+reaches m_max), then bisects the bracket around that fold.
 
 A ``Branch`` keeps only its points and grid and derives the rest from
 them by one rule: the fold is the first sample where lambda turns (the
@@ -300,8 +301,10 @@ def continue_branch(
     m_max: float,
     config: SolverConfig | None = None,
 ) -> Branch:
-    """March the amplitude from the trivial point up to m_max, starting each
-    solve from the Euler step along the last point's tangent.
+    """March the amplitude from the trivial point along the minimal branch,
+    starting each solve from the Euler step along the last point's tangent,
+    until the first fold has a sample after it; a branch whose lambda does
+    not turn below m_max ends at m_max.
 
     Every amplitude tried is min(last accepted m + step, m_max).  Steps
     halve whenever Newton diverges, and halve again while the retry would
@@ -344,6 +347,8 @@ def continue_branch(
                 failure = f"step fell below {step_floor:g} near m={m_target:g}: {exc}"
             continue
         points.append(pt)
+        if Branch(points, grid).fold_index < len(points) - 1:
+            break  # the first fold has a sample after it
         if pt.newton_iters <= 4:
             step = min(step * STEP_GROWTH, step_cap)
     _refine_fold_bracket(K, family, grid, config, points)

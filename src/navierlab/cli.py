@@ -167,7 +167,7 @@ _OPTIONS = {
     "families": {"help": "comma-separated family specs"},
     "dims": {"help": "e.g. 3..8 or 3,5,8"},
     "n": {"type": int, "help": "interior grid nodes"},
-    "m_max": {"type": float, "help": "largest amplitude to continue to"},
+    "m_max": {"type": float, "help": "upper limit on the amplitude to continue to"},
     "tol": {"type": float, "help": "Newton residual tolerance"},
     "amplitude_step": {"type": float},
     "out": {"help": "output directory"},
@@ -243,7 +243,7 @@ class _Cell:
     family: NonlinearityFamily
     grid: RadialGrid
     solver: SolverConfig
-    m_max: float  # the amplitude the continuation runs to: m_max, clamped for mems
+    m_max: float  # the continuation's upper limit: m_max, clamped for mems
 
 
 def _grid(N: int, n: int) -> RadialGrid:

@@ -1,6 +1,7 @@
 """Branch solver: manufactured oracle, small-amplitude law, folds, guards."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from navierlab.branch import (
 )
 from navierlab.families import exponential, mems, parse_family, power
 from navierlab.radial import RadialGrid, minus_laplacian, solve_navier_biharmonic
+from navierlab.stability import smallest_stability_eigenvalue
 
 
 class ConstantSource:
@@ -123,6 +125,7 @@ def test_branch_below_fold_is_monotone():
     grid = RadialGrid(3, 256)
     branch = continue_branch(exponential(), grid, 0.8)  # fold sits near 1.66
     assert not branch.fold_detected
+    assert branch.points[-1].m == 0.8  # with no fold the march runs to m_max
     assert np.all(np.diff(branch.lambdas) > 0)
     assert branch.lambda_star_estimate == pytest.approx(branch.lambdas[-1])
     empty = Branch([], grid)
@@ -176,7 +179,51 @@ def test_no_amplitude_tried_past_m_max(monkeypatch):
     monkeypatch.setattr(branch_module, "_newton", recording_newton)
     continue_branch(mems(2.0), RadialGrid(4, 64), MEMS_M_MAX, SolverConfig(amplitude_step=0.1))
     assert tried and max(tried) <= MEMS_M_MAX
+    assert MEMS_M_MAX in tried  # the clamp itself was tried
     assert len(set(starts)) == len(starts)
+
+
+def test_march_stops_one_sample_past_the_fold():
+    # a larger m_max solves exactly the same points, and both fold
+    # indicators stay observable: the last point lies below lambda at the
+    # fold and is unstable
+    fam, grid = exponential(), RadialGrid(3, 256)
+    branch = continue_branch(fam, grid, 6.0)
+    longer = continue_branch(fam, grid, 12.0)
+    assert [(pt.m, pt.lam) for pt in longer.points] == [(pt.m, pt.lam) for pt in branch.points]
+    assert all(np.array_equal(a.u, b.u) for a, b in zip(longer.points, branch.points))
+    last, fold = branch.points[-1], branch.points[branch.fold_index]
+    assert branch.fold_detected and last.m < 6.0
+    assert last.lam < fold.lam
+    assert smallest_stability_eigenvalue(fam, last).mu1 < 0.0
+
+
+def _upper_branch(m_stop):
+    """exp N=3 on n=64 from one sample past its fold (m = 3 at step 1) up
+    the unstable branch by unit steps to m_stop, each solve started from
+    the point before."""
+    fam, grid = exponential(), RadialGrid(3, 64)
+    points = continue_branch(fam, grid, m_stop, SolverConfig(amplitude_step=1.0)).points[-1:]
+    while points[-1].m < m_stop:
+        m = points[-1].m + 1.0
+        points.append(solve_at_amplitude(fam, grid, m, guess=points[-1]))
+    return points
+
+
+def test_no_stall_at_the_rounding_floor():
+    # far past the fold (m = 157 and beyond) the residual sits near its
+    # rounding floor, and the solves there must still converge
+    points = _upper_branch(200.0)
+    assert points[0].m == 3.0 and points[-1].m == 200.0
+
+
+def test_overflow_past_the_fold_raises_without_warning():
+    # e^u overflows binary64 near m = 709.8: every solve up to m = 709
+    # converges, the one at 710 raises NewtonDivergedError, and none warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NewtonDivergedError, match="m=710"):
+            _upper_branch(710.0)
 
 
 def test_one_residual_per_iterate(monkeypatch):

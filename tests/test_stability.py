@@ -6,7 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from navierlab.branch import MEMS_M_MAX, BranchPoint, SolverConfig, continue_branch, trivial_point
+from navierlab.branch import (
+    MEMS_M_MAX,
+    BranchPoint,
+    SolverConfig,
+    continue_branch,
+    solve_at_amplitude,
+    trivial_point,
+)
 from navierlab.families import exponential, mems, power
 from navierlab import stability
 from navierlab.radial import RadialGrid, minus_laplacian, volume_weights
@@ -262,15 +269,20 @@ def test_touchdown_mode_at_the_mems_limit():
     # point and near -8e13; a start vector barely overlapping it leaves
     # inverse iteration on another mode unless the shift sits next to mu1.
     # ||T||_1 is about |mu1| here, so the dense eigenvalue, exact to
-    # eps * ||T||_1, is good to about 2e-16 relative.
-    fam = mems(2.0)
-    branch = continue_branch(fam, RadialGrid(8, 64), MEMS_M_MAX)
-    last = branch.points[-1]
+    # eps * ||T||_1, is good to about 2e-16 relative.  The branch stops one
+    # sample past its fold at 0.955, so solves that halve the gap to
+    # touchdown carry it on to the limit.
+    fam, grid = mems(2.0), RadialGrid(8, 64)
+    points = continue_branch(fam, grid, MEMS_M_MAX).points
+    while points[-1].m < MEMS_M_MAX:
+        m = min(1.0 - 0.5 * (1.0 - points[-1].m), MEMS_M_MAX)
+        points.append(solve_at_amplitude(fam, grid, m, guess=points[-1]))
+    last = points[-1]
     assert last.m == MEMS_M_MAX
     value = dense_leftmost_mode(fam, last)[0]
     assert value < 0.0
     rep = None
-    for pt in branch.points:
+    for pt in points:
         rep = smallest_stability_eigenvalue(fam, pt, rep)
     for mu1 in (rep.mu1, smallest_stability_eigenvalue(fam, last).mu1):
         assert mu1 < 0.0
