@@ -15,16 +15,16 @@ by the lambda column and the constraint row.  LAPACK ``dgbsv`` (from
 it.  Every solve starts from the Euler step along a solved point's tangent;
 continuation starts at the trivial solution (lambda, u) = (0, 0), marches m
 upward with adaptive steps until one sample lies past the first fold (or m
-reaches m_max), then bisects the bracket around that fold.
+reaches m_max), then solves at that fold, this grid's extremal solution u*.
 
 A ``Branch`` keeps only its points and grid and derives the rest from
 them by one rule: the fold is the first sample where lambda turns (the
 first with dlam_dm <= 0, or the last before lambda first decreases),
-detected when interior, and the extremal-parameter estimate is the vertex
-of the parabola through the three samples bracketing it.
-``pre_fold_points`` exposes the segment strictly before it.  The largest
-sampled lambda would not do: near a critical dimension the discrete branch
-turns several times, and a later turn can carry a larger lambda.
+detected when interior, and the extremal-parameter estimate is lambda
+there.  ``pre_fold_points`` exposes the semi-stable segment up to
+and including it.  The largest sampled lambda would not do: near a
+critical dimension the discrete branch turns several times, and a later
+turn can carry a larger lambda.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ DAMPING = 0.5  # line-search step reduction
 STEP_GROWTH = 2.0  # continuation step growth after fast convergence
 MAX_STEP_FACTOR = 4.0  # largest continuation step, in units of amplitude_step
 MIN_STEP_FACTOR = 1.0 / 1024.0  # smallest one before continuation gives up
-FOLD_REFINE_FACTOR = 64.0  # fold bracket width target: amplitude_step / this
 # the singular family is continued no further than this amplitude, which the
 # grid still resolves; its fold sits far below
 MEMS_M_MAX = 1.0 - 1e-4
@@ -132,26 +131,14 @@ class Branch:
 
     @property
     def lambda_star_estimate(self) -> float:
-        """Vertex of the parabola through the three samples bracketing a
-        detected fold; otherwise lambda at the fold index, the sampled
-        maximum of a rising branch (0.0 with no points)."""
-        if not self.fold_detected:
-            return float(self.lambdas[self.fold_index]) if self.points else 0.0
-        k = self.fold_index
-        m0, m1, m2 = self.amplitudes[k - 1 : k + 2]
-        l0, l1, l2 = self.lambdas[k - 1 : k + 2]
-        d1 = (l1 - l0) / (m1 - m0)
-        d2 = (l2 - l1) / (m2 - m1)
-        c = (d2 - d1) / (m2 - m0)
-        if c >= 0.0:
-            return float(l1)
-        mstar = 0.5 * (m0 + m1) - d1 / (2.0 * c)
-        return float(l0 + d1 * (mstar - m0) + c * (mstar - m0) * (mstar - m1))
+        """Lambda at the fold index: the solved u* of a detected fold, the
+        sampled maximum of a rising branch (0.0 with no points)."""
+        return float(self.points[self.fold_index].lam) if self.points else 0.0
 
     @property
     def pre_fold_points(self) -> list[BranchPoint]:
-        """Points strictly before the first fold, where lambda still rises."""
-        return self.points[: self.fold_index]
+        """The semi-stable segment: every point up to and including the fold."""
+        return self.points[: self.fold_index + 1]
 
 
 class NewtonDivergedError(RuntimeError):
@@ -313,10 +300,10 @@ def continue_branch(
     MAX_STEP_FACTOR * amplitude_step.  A Newton trial outside the family's
     domain, or whose residual overflows, is rejected by the line search like
     any other, and the singular family is continued to at most
-    MEMS_M_MAX = 1 - 1e-4.  The bracket around the first fold, the trivial
-    point included, is then refined, and so is a partial branch: a step
-    below MIN_STEP_FACTOR * amplitude_step raises ContinuationError carrying
-    the refined Branch of the solved points.
+    MEMS_M_MAX = 1 - 1e-4.  The first fold, which may lie between the
+    trivial point and the first sample, is then solved (``_solve_fold``), on
+    a partial branch too: a step below MIN_STEP_FACTOR * amplitude_step
+    raises ContinuationError carrying the Branch of the solved points.
     """
     config = config or SolverConfig()
     if m_max <= 0.0:
@@ -351,44 +338,65 @@ def continue_branch(
             break  # the first fold has a sample after it
         if pt.newton_iters <= 4:
             step = min(step * STEP_GROWTH, step_cap)
-    _refine_fold_bracket(K, family, grid, config, points)
+    _solve_fold(K, family, grid, config, points)
     branch = Branch(points[1:], grid)
     if failure:
         raise ContinuationError(failure, branch)
     return branch
 
 
-def _refine_fold_bracket(K, family, grid, config, points) -> None:
-    """Bisect the amplitude bracket around the first fold.
+def _hermite_peak(a: BranchPoint, b: BranchPoint) -> tuple[float, float]:
+    """Amplitude and lambda at the peak of the cubic Hermite interpolant of
+    lambda(m) through (m, lam, dlam_dm) at a and b, a.dlam_dm > 0 >= b.dlam_dm:
+    in t = (m - a.m) / h, the root of its slope A t^2 + B t + sa in (0, 1]."""
+    h = b.m - a.m
+    sa, sb, d = h * a.dlam_dm, h * b.dlam_dm, b.lam - a.lam
+    A, B = 3.0 * (sa + sb) - 6.0 * d, 6.0 * d - 4.0 * sa - 2.0 * sb
+    t = 2.0 * sa / (max(B * B - 4.0 * A * sa, 0.0) ** 0.5 - B)
+    return a.m + t * h, a.lam + t * (sa + t * (0.5 * B + t * A / 3.0))
 
-    Marching alone leaves the fold between coarse samples; repeatedly
-    solving at the midpoint of the wider flank of the three-point bracket
-    clusters samples at the fold, which sharpens the parabola vertex used
-    for the extremal-parameter estimate and lets the tracked integrals
-    flatten visibly as the fold is approached.  A first turn between the
-    last two points (the last has dlam_dm <= 0) has no sample to its right,
-    so that flank is bisected until one appears.  New points are inserted
-    in amplitude order.  Stops once the points show no fold or the bracket
-    is narrower than amplitude_step / FOLD_REFINE_FACTOR.
+
+def _solve_fold(K, family, grid, config, points) -> None:
+    """Solve at the first fold: this grid's extremal solution u*.
+
+    The first turn lies between neighbouring samples a and b.  While their
+    slopes change sign, the next solve lands on their ``_hermite_peak``,
+    until it exceeds the better sample, u*, by at most newton_tol relative.
+    A pair with no sign change (a double turn), or not half as wide as two
+    solves before (a steep far side holds the peaks next to a), is bisected.
+    A u* right after the trivial point, which the Branch drops, gets one
+    more solve halfway to it.  Each solve starts from a, then from b; stops
+    when no fold shows, both starts fail or the amplitude leaves the pair.
     """
-    width_target = config.amplitude_step / FOLD_REFINE_FACTOR
+    widths = [np.inf, np.inf]  # of the pair two solves and one solve before
     for _ in range(200):
         k = Branch(points, grid).fold_index
-        if k == 0 or (k == len(points) - 1 and not points[k].dlam_dm <= 0.0):
+        i = k - 1 if points[k].dlam_dm <= 0.0 else k
+        if i + 1 == len(points):
+            return  # lambda still rises at the last sample
+        a, b = points[i], points[i + 1]
+        m_new = 0.5 * (a.m + b.m)
+        if a.dlam_dm > 0.0 >= b.dlam_dm:
+            m_peak, peak = _hermite_peak(a, b)
+            best = max(a.lam, b.lam)
+            if peak - best <= config.newton_tol * abs(best):
+                if k > 1:
+                    return
+                i, a, b, m_new = 0, points[0], points[1], 0.5 * points[1].m
+            elif b.m - a.m <= 0.5 * widths[0]:
+                m_new = m_peak
+        widths = [widths[1], b.m - a.m]
+        if not a.m < m_new < b.m:
             return
-        left, mid = points[k - 1], points[k]
-        right = points[k + 1] if k + 1 < len(points) else mid
-        if right.m - left.m <= width_target:
-            return
-        if mid.m - left.m >= right.m - mid.m:
-            m_new, insert_at = 0.5 * (left.m + mid.m), k
+        for start in (a, b):
+            try:
+                points.insert(i + 1, _newton(K, family, grid, m_new,
+                                             *_predict(start, m_new), config))
+                break
+            except NewtonDivergedError:
+                continue
         else:
-            m_new, insert_at = 0.5 * (mid.m + right.m), k + 1
-        try:
-            pt = _newton(K, family, grid, m_new, *_predict(mid, m_new), config)
-        except NewtonDivergedError:
             return
-        points.insert(insert_at, pt)
 
 
 def trivial_point(grid: RadialGrid) -> BranchPoint:

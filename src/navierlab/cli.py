@@ -300,7 +300,7 @@ def _suprema_summary(family, branch: Branch) -> dict:
         except ValueError:  # the bound is not proved for this family
             continue
         for sup in found if isinstance(found, tuple) else (found,):
-            summary[sup.name] = {"sup": sup.sup, "trend": sup.trend, "finite": sup.finite}
+            summary[sup.name] = {"sup": sup.sup, "finite": sup.finite}
     return summary
 
 
@@ -338,8 +338,6 @@ def _run_cell(cell: _Cell, command: str) -> dict:
                 # the estimates' hypotheses fail: mems p <= 1, or u outside the
                 # auxiliary functions' domain (u >= 0, u < 1 for mems)
                 not_applicable = str(exc)
-        if command == "verify" and not branch.pre_fold_points:
-            not_applicable = "no pre-fold point, so no estimate was evaluated"
         # with no estimate evaluated nothing passed
         record["estimates_ok"] = bool(reports) and all(rep.satisfied for rep in reports)
         suprema = _suprema_summary(family, branch) if command == "verify" else {}

@@ -11,11 +11,11 @@ each report derives its margin rhs - lhs and its verdict from the two.
 * basic energy identity     int f'(u) u^2 <= int f(u) u
 
 Along a branch the "uniform constant" claims become observable boundedness:
-the running suprema of int f^(3/2)/(sqrt(u)+1), int f^2 and
-int (f')^(2/gamma) over the pre-fold segment must stay finite with a flat
-trend approaching the fold.  Points past the sampled fold are evaluated on
-request but never asserted — the inequalities are statements about the
-semi-stable segment only.
+the suprema of int f^(3/2)/(sqrt(u)+1), int f^2 and int (f')^(2/gamma)
+over the semi-stable segment, up to and including the solved extremal
+solution u*, must be finite, and they are attained at u*.  Points past
+the fold are evaluated on request but never asserted — the inequalities are
+statements about the semi-stable segment only.
 
 Satisfaction uses tol = 1e-6 * max(|lhs|, |rhs|, 1), and for the pointwise
 bound 1e-6 * max(max |v|, max sqrt(lambda) g(u), 1).  Integrands carry
@@ -91,7 +91,7 @@ class EstimateReport:
 
 @dataclass
 class BranchSupremum:
-    """One integral tracked along the pre-fold segment of a branch."""
+    """One integral tracked along the semi-stable segment of a branch."""
 
     name: str
     values: list[float]
@@ -99,11 +99,6 @@ class BranchSupremum:
     @property
     def sup(self) -> float:
         return max(self.values, default=0.0)
-
-    @property
-    def trend(self) -> float:
-        """Relative last-quarter slope per continuation step."""
-        return _last_quarter_trend(self.values)
 
     @property
     def finite(self) -> bool:
@@ -146,19 +141,6 @@ def run_pointwise_suite(family: NonlinearityFamily, point: BranchPoint) -> list[
 # ---------------------------------------------------------------------------
 
 
-def _last_quarter_trend(values: list[float]) -> float:
-    """Least-squares slope per step over the trailing quarter, scaled by the
-    mean magnitude there.  Flat approach to the fold means a small value."""
-    if len(values) < 3:
-        return 0.0
-    k = max(3, len(values) // 4)
-    tail = np.asarray(values[-k:], dtype=float)
-    steps = np.arange(len(tail), dtype=float)
-    slope = float(np.polyfit(steps, tail, 1)[0])
-    scale = float(np.mean(np.abs(tail)))
-    return slope / scale if scale > 0.0 else slope
-
-
 def _track(name: str, branch: Branch, integrand_of_point) -> BranchSupremum:
     return BranchSupremum(name, [integrand_of_point(pt) for pt in branch.pre_fold_points])
 
@@ -166,8 +148,9 @@ def _track(name: str, branch: Branch, integrand_of_point) -> BranchSupremum:
 def check_crucial_integrals(
     family: NonlinearityFamily, branch: Branch
 ) -> tuple[BranchSupremum, BranchSupremum]:
-    """Track int f(u)^(3/2)/(sqrt(u)+1) dx and int f(u) dx over the pre-fold
-    segment.  Defined for the regular (superlinear) families only."""
+    """Track int f(u)^(3/2)/(sqrt(u)+1) dx and int f(u) dx over the
+    semi-stable segment.  Defined for the regular (superlinear) families
+    only."""
     if family.singular:
         raise ValueError("the ratio integral applies to the regular families only")
     grid = branch.grid
@@ -184,7 +167,7 @@ def check_crucial_integrals(
 
 
 def check_L2(family: NonlinearityFamily, branch: Branch) -> BranchSupremum:
-    """Track int f(u)^2 dx over the pre-fold segment, under the estimates'
+    """Track int f(u)^2 dx over the semi-stable segment, under the estimates'
     hypothesis (the curvature ratio is positive for every family)."""
     require_estimate_hypotheses(family)
     grid = branch.grid

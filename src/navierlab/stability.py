@@ -112,10 +112,12 @@ def _certify_shift(upper, t_norm, ceiling):
     -||T||_1 the shifted matrix is diagonally dominant, so a failure there
     raises EigenIterationError.  Bisection then narrows the bracket to one
     margin, which is at least 2 eps ||T||_1 so that every midpoint lies
-    strictly inside, and the factor at the last success is returned.
+    strictly inside, and the factor at the last success is returned.  Its
+    relative term takes the smaller of the ceiling and the last failure, as
+    a poor start vector's quotient can lie far above mu1.
     """
-    margin = max(2.0 * np.finfo(float).eps * t_norm, 1e-6 * (1.0 + abs(ceiling)))
-    fail, step = ceiling, margin
+    eps_margin = 2.0 * np.finfo(float).eps * t_norm
+    fail, step = ceiling, max(eps_margin, 1e-6 * (1.0 + abs(ceiling)))
     sigma = fail - step
     chol = _cholesky(upper, sigma)
     while chol is None:
@@ -125,6 +127,7 @@ def _certify_shift(upper, t_norm, ceiling):
         fail, step = sigma, step * BRACKET_GROWTH
         sigma = fail - step
         chol = _cholesky(upper, sigma)
+    margin = max(eps_margin, 1e-6 * (1.0 + min(abs(ceiling), abs(fail))))
     while fail - sigma > margin:
         mid = 0.5 * (sigma + fail)
         mid_chol = _cholesky(upper, mid)

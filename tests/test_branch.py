@@ -8,7 +8,6 @@ import pytest
 
 from navierlab import branch as branch_module
 from navierlab.branch import (
-    FOLD_REFINE_FACTOR,
     MEMS_M_MAX,
     Branch,
     BranchPoint,
@@ -306,13 +305,12 @@ def test_solver_config_validation():
 
 
 def test_fold_bracket_refined(exp_branch):
-    # the samples straddling the lambda maximum are much closer than the
-    # marching step, and the refined vertex dominates every sample
+    # the fold sample is solved where the Hermite peak through it and its
+    # neighbour across the slope flip adds no more than newton_tol, and it
+    # dominates every sample
     _, branch = exp_branch
-    k = branch.fold_index
-    ms = branch.amplitudes
-    assert ms[k + 1] - ms[k - 1] <= 0.05 / 32
-    assert branch.lambda_star_estimate >= branch.lambdas.max()
+    _assert_fold_solved(branch, SolverConfig().newton_tol)
+    assert branch.lambda_star_estimate == branch.lambdas.max()
 
 
 @pytest.mark.parametrize("m", [0.3, 1.0, 1.5])
@@ -334,7 +332,7 @@ def test_fold_index_is_the_first_turn():
     # lambda turns at m = 2, then rises past its first maximum
     turns = Branch(_synthetic([1, 2, 3, 4, 5], [1.0, 2.0, 1.5, 3.0, 4.0], [1, 1, -1, 1, 1], grid), grid)
     assert turns.fold_index == 1 and turns.fold_detected
-    assert [pt.m for pt in turns.pre_fold_points] == [1]
+    assert [pt.m for pt in turns.pre_fold_points] == [1, 2]
     # the slope turns negative at m = 2 while the next sample is still higher
     assert Branch(_synthetic([1, 2, 3], [1.0, 2.0, 2.1], [1, -1, -1], grid), grid).fold_index == 1
     # lambda rises to the last point, whose slope is negative: the fold lies
@@ -344,7 +342,19 @@ def test_fold_index_is_the_first_turn():
     assert last.lambda_star_estimate == 2.5
 
 
-def test_refinement_bisects_the_last_flank():
+def _assert_fold_solved(branch, newton_tol):
+    """The fold sample and its neighbour across the slope flip leave a
+    Hermite peak within newton_tol of the better of the two."""
+    k = branch.fold_index
+    pts = branch.points
+    a, b = (pts[k - 1], pts[k]) if pts[k].dlam_dm <= 0.0 else (pts[k], pts[k + 1])
+    assert a.dlam_dm > 0.0 >= b.dlam_dm
+    _, peak = branch_module._hermite_peak(a, b)
+    assert pts[k].lam == max(a.lam, b.lam)
+    assert peak - pts[k].lam <= newton_tol * pts[k].lam
+
+
+def test_fold_solve_on_the_last_flank():
     # a step from m = 1.9 to 2.2 jumps the fold at 2.141 and still lands on
     # a larger lambda; the slope there shows the turn
     fam, grid = power(2.0), RadialGrid(4, 64)
@@ -352,12 +362,11 @@ def test_refinement_bisects_the_last_flank():
     points = [solve_at_amplitude(fam, grid, m) for m in (1.9, 2.2)]
     assert points[1].lam > points[0].lam and points[1].dlam_dm < 0.0
     assert not Branch(points, grid).fold_detected
-    branch_module._refine_fold_bracket(minus_laplacian(grid), fam, grid, config, points)
+    branch_module._solve_fold(minus_laplacian(grid), fam, grid, config, points)
     branch = Branch(points, grid)
     assert branch.fold_detected
-    k = branch.fold_index
-    assert 2.13 < branch.points[k].m < 2.15
-    assert branch.amplitudes[k + 1] - branch.amplitudes[k - 1] <= 0.1 / FOLD_REFINE_FACTOR
+    assert 2.13 < branch.points[branch.fold_index].m < 2.15
+    _assert_fold_solved(branch, config.newton_tol)
     marched = continue_branch(fam, grid, 2.2, config)
     assert branch.lambda_star_estimate == pytest.approx(marched.lambda_star_estimate, rel=1e-9)
 
@@ -369,13 +378,51 @@ def test_refinement_bisects_the_last_flank():
     ("mems:p=0.557877", 3, 51, MEMS_M_MAX, 0.76),
 ])
 def test_fold_between_the_first_two_samples(spec, N, n, m_max, step):
-    # lambda turns before the second sample, so refinement brackets the fold
-    # against the trivial point and finds the lambda* of a fine march
+    # lambda turns before the second sample, so the fold solve pairs it with
+    # the trivial point and finds the lambda* of a fine march
     fam, grid = parse_family(spec), RadialGrid(N, n)
     branch = continue_branch(fam, grid, m_max, SolverConfig(amplitude_step=step))
     fine = continue_branch(fam, grid, m_max, SolverConfig(amplitude_step=0.05))
     assert branch.fold_detected
     assert branch.lambda_star_estimate == pytest.approx(fine.lambda_star_estimate, rel=1e-6)
+
+
+def test_fold_solved_from_a_first_step_past_it():
+    # exp N=3 with a first step of 800: e^u overflows there, and halving
+    # lands the first solve at m = 100 on the upper branch, far past the fold
+    # at 1.656; the fold solve against the trivial point finds the lambda* of
+    # unit steps
+    fam, grid = exponential(), RadialGrid(3, 64)
+    far = continue_branch(fam, grid, 800.0, SolverConfig(amplitude_step=800.0))
+    unit = continue_branch(fam, grid, 800.0, SolverConfig(amplitude_step=1.0))
+    assert far.fold_detected and unit.fold_detected
+    assert far.lambda_star_estimate == pytest.approx(unit.lambda_star_estimate, rel=1e-9)
+
+
+@pytest.mark.parametrize("spec, N, m_max, step", [
+    # a solve from the trivial point's tangent diverges at the first peak,
+    # and the one from the far sample converges
+    ("power:p=2", 4, 50.0, 15.1807),
+    # u* is the first solved point, so one more solve lies halfway to it
+    ("mems:p=2", 4, MEMS_M_MAX, 0.605329),
+])
+def test_first_sample_past_the_fold(spec, N, m_max, step):
+    fam, grid = parse_family(spec), RadialGrid(N, 64)
+    branch = continue_branch(fam, grid, m_max, SolverConfig(amplitude_step=step))
+    fine = continue_branch(fam, grid, m_max)
+    assert branch.fold_detected
+    assert branch.lambda_star_estimate == pytest.approx(fine.lambda_star_estimate, rel=1e-9)
+
+
+def test_fold_solve_bisects_a_pair_it_does_not_halve():
+    # the first step jumps the first fold at m = 3.58 and lands far up a
+    # steep branch past a later turn at m = 14; Hermite peaks alone crept
+    # toward that turn for all 200 solves, and bisecting whenever two solves
+    # leave the pair more than half as wide settles it in a few
+    fam, grid = exponential(), RadialGrid(8, 64)
+    branch = continue_branch(fam, grid, 50.0, SolverConfig(amplitude_step=10.828))
+    assert len(branch.points) < 20
+    _assert_fold_solved(branch, SolverConfig().newton_tol)
 
 
 def test_mems_clamp_residual_budget(monkeypatch):

@@ -310,7 +310,7 @@ def test_summary_records_effective_m_max(command, artifact, tmp_path, capsys):
 
 
 # mems:p=0.557877 at N=3, one step to m-max: the branch is a single point where
-# lambda still rises, so no point lies before the fold
+# lambda still rises, so no point lies before that sampled maximum
 NO_PRE_FOLD = ["--n", "51", "--m-max", "0.76", "--amplitude-step", "0.76"]
 
 
@@ -324,7 +324,7 @@ def test_verify_without_pre_fold_point_is_not_applicable(tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     verdict = json.loads(read(os.path.join(out, "verify_mems-p0_557877_N3.json")))
-    assert verdict["pre_fold_points"] == 0
+    assert verdict["pre_fold_points"] == 1  # the sampled maximum itself
     assert verdict["pointwise_all_satisfied"] is False
     assert verdict["status"] == "not-applicable"
     estimates = read(os.path.join(out, "estimates_mems-p0_557877_N3.csv"))
@@ -375,12 +375,13 @@ def test_verify_suprema_per_family(family, suprema, status, tmp_path, capsys):
 
 
 def test_sweep_cell_without_pre_fold_point_fails_estimates(tmp_path, capsys):
-    # the single point is the sampled lambda maximum, so no fold was seen either
+    # the single point is the sampled lambda maximum, where the estimates'
+    # hypotheses fail for mems p <= 1, as they do on every other branch
     code, stdout = run(capsys, "sweep", "--families", "mems:p=0.557877", "--dims", "3",
                        *NO_PRE_FOLD, "--out", str(tmp_path / "nofold"))
-    assert code == 3
+    assert code == 2
     row = dict(zip(*[line.split(",") for line in stdout.splitlines()]))
-    assert row["status"] == "no-fold"
+    assert row["status"] == "not-applicable"
     assert row["estimates_ok"] == "false"
 
 
@@ -716,19 +717,21 @@ def test_failure_exit_codes(case, tmp_path, capsys):
 # - exp at 700: the Euler step from the trivial point gives lambda f(u) beyond
 #   the double range, which the residual must read as infinite without a
 #   warning (it once overflowed f(u) @ f(u) in an initial-guess fit); at 800
-#   e^u, and halving from there the first solve lands past the fold at
-#   m = 50, so the fold is bracketed only against the trivial point;
+#   e^u overflows, and halving from there the first solve lands past the
+#   fold at m = 50, so the fold is bracketed only against the trivial
+#   point, and both runs solve it there;
 # - power at 1e200 overflowed (1 + u)^p;
-# - power:p=3.5 in N = 5 took a Newton trial with u <= -1;
+# - power:p=3.5 in N = 5 took a Newton trial with u <= -1; its first solves
+#   land far up the upper branch, and the fold solve walks down from there;
 # - exp in unit steps stops one sample past its fold, far below e^u's
 #   overflow near m = 709.8 (the branch tests solve up to it).
 LARGE_FIRST_AMPLITUDES = {
-    "700-3-inconclusive:": (("exp", "3", "700", "700"), 3, "inconclusive:"),
-    "800-3-inconclusive:": (("exp", "3", "800", "800"), 3, "inconclusive:"),
+    "700-0-silent": (("exp", "3", "700", "700"), 0, None),
+    "800-0-silent": (("exp", "3", "800", "800"), 0, None),
     "800-step1-0-silent": (("exp", "3", "800", "1"), 0, None),
     "power-1e200-4-compute failure:": (("power:p=2", "3", "1e200", "1e200"), 4,
                                        "compute failure:"),
-    "power-1e5-3-inconclusive:": (("power:p=3.5", "5", "1e6", "1e5"), 3, "inconclusive:"),
+    "power-1e5-0-silent": (("power:p=3.5", "5", "1e6", "1e5"), 0, None),
 }
 
 
