@@ -13,10 +13,13 @@ N/4 yields a uniform L-infinity bound, i.e. a regular extremal solution.
 
 ``predict_regularity`` reads the paper's result for each family off a
 table: e^t is regular for N <= 8, (1+t)^p for N < 8p/(p-1), and (1-t)^-p
-(p > 1, p != 3) for N <= 8p/(p+1).  ``regularity_from_growth`` is the
-general theorem for an arbitrary f.  The recursion is plain binary64; its
-iterates are smooth rational functions of the inputs and never need exact
-arithmetic.
+(p > 1, p != 3) for N <= 8p/(p+1).  The exp and power rows say regular
+wherever the paper's general theorem for an arbitrary f does (N < 8/gamma
+for a finite curvature-ratio limsup gamma, N <= 7 for a positive liminf,
+N <= 5 always), so no command consults the theorem; the test suite keeps it
+in exact arithmetic and checks that claim.  The recursion is plain binary64;
+its iterates are smooth rational functions of the inputs and never need
+exact arithmetic.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ __all__ = [
     "run_bootstrap",
     "RegularityVerdict",
     "predict_regularity",
-    "regularity_from_growth",
     "INCREASING",
     "DECREASING",
     "ESCAPED",
@@ -58,9 +60,6 @@ UNKNOWN = "unknown"
 RULE_EXP = "exp-threshold:N<=8"
 RULE_POWER = "power-threshold:N<=8-or-p<N/(N-8)"
 RULE_MEMS = "mems-threshold:N<=8p/(p+1)"
-RULE_GAMMA = "growth-ratio:N<8/gamma"
-RULE_LIMINF = "curvature-liminf:N<=7"
-RULE_LOWDIM = "low-dimension:N<=5"
 RULE_MEMS_P3 = "mems-exponent-three-excluded"
 RULE_NONE = "no-sufficient-condition"
 
@@ -73,7 +72,8 @@ class RecursionDomainError(ValueError):
 
 @dataclass(frozen=True)
 class ExponentParams:
-    """Inputs of the primal recursion: dimension N, start q0, pair beta < alpha."""
+    """Inputs of the primal recursion: dimension N, start q0, pair beta < alpha,
+    each exponent finite."""
 
     N: int
     q0: float
@@ -83,10 +83,10 @@ class ExponentParams:
     def __post_init__(self):
         if self.N < 2:
             raise RecursionDomainError("dimension N must be >= 2")
-        if self.q0 < 1.0:
-            raise RecursionDomainError("starting exponent q0 must be >= 1")
-        if not 0.0 < self.beta < self.alpha:
-            raise RecursionDomainError("need 0 < beta < alpha")
+        if not 1.0 <= self.q0 < float("inf"):
+            raise RecursionDomainError("starting exponent q0 must be finite and >= 1")
+        if not 0.0 < self.beta < self.alpha < float("inf"):
+            raise RecursionDomainError("need 0 < beta < alpha < inf")
 
 
 @dataclass
@@ -158,28 +158,6 @@ class RegularityVerdict:
     N: int
     verdict: str  # REGULAR or UNKNOWN
     rule: str  # tag of the predicate that decided (RULE_NONE when none fired)
-
-
-def regularity_from_growth(
-    N: int,
-    delta_liminf: float | None = None,
-    gamma_limsup: float | None = None,
-) -> tuple[str, str]:
-    """The paper's general theorem for an arbitrary regular f.
-
-    Checked sharpest first: N < 8/gamma when the curvature-ratio limsup
-    gamma is finite and positive, N <= 7 when the liminf is positive, and
-    the unconditional N <= 5.  ``predict_regularity`` does not consult it:
-    each family result implies it, and the rounded gamma = 1 - 1/p of a
-    power family would decide for a neighbouring exponent, not for p.
-    """
-    if gamma_limsup is not None and gamma_limsup > 0.0 and N < 8.0 / gamma_limsup:
-        return REGULAR, RULE_GAMMA
-    if delta_liminf is not None and delta_liminf > 0.0 and N <= 7:
-        return REGULAR, RULE_LIMINF
-    if N <= 5:
-        return REGULAR, RULE_LOWDIM
-    return UNKNOWN, RULE_NONE
 
 
 def predict_regularity(family: NonlinearityFamily, N: int) -> RegularityVerdict:

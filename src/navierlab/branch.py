@@ -106,10 +106,6 @@ class Branch:
     grid: RadialGrid = field(repr=False)
 
     @property
-    def amplitudes(self) -> np.ndarray:
-        return np.array([p.m for p in self.points])
-
-    @property
     def lambdas(self) -> np.ndarray:
         return np.array([p.lam for p in self.points])
 
@@ -269,8 +265,8 @@ def solve_at_amplitude(
     branch (2 Newton steps in that case).
     """
     config = config or SolverConfig()
-    if m <= 0.0:
-        raise ValueError("amplitude must be positive")
+    if not 0.0 < m < np.inf:
+        raise ValueError("amplitude must be positive and finite")
     if family.singular and m > MEMS_M_MAX:
         raise ValueError(f"amplitude {m:g} exceeds the mems limit {MEMS_M_MAX:g}")
     if guess is None:
@@ -306,8 +302,8 @@ def continue_branch(
     raises ContinuationError carrying the Branch of the solved points.
     """
     config = config or SolverConfig()
-    if m_max <= 0.0:
-        raise ValueError("m_max must be positive")
+    if not 0.0 < m_max < np.inf:
+        raise ValueError("m_max must be positive and finite")
     if family.singular and m_max > MEMS_M_MAX:
         raise ValueError(f"m_max {m_max:g} exceeds the mems limit {MEMS_M_MAX:g}")
     K = minus_laplacian(grid)

@@ -386,13 +386,18 @@ def _run_cell(cell: _Cell, command: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_predict(args) -> int:
-    family = parse_family(args.family)
-    verdict = bs.predict_regularity(family, args.N)
-    text = _json_text(asdict(verdict))
+def _print_record(record: dict, out: str | None) -> None:
+    """predict's and bootstrap's one output: the record's JSON on stdout and,
+    given --out, the same text in that file."""
+    text = _json_text(record)
     sys.stdout.write(text)
-    if args.out:
-        _write_atomic(args.out, text)
+    if out:
+        _write_atomic(out, text)
+
+
+def cmd_predict(args) -> int:
+    verdict = bs.predict_regularity(parse_family(args.family), args.N)
+    _print_record(asdict(verdict), args.out)
     return EXIT_OK
 
 
@@ -407,10 +412,7 @@ def cmd_bootstrap(args) -> int:
         # fixed_point and escape_steps are omitted when unset
         "trace": {k: v for k, v in asdict(trace).items() if v is not None},
     }
-    text = _json_text(record)
-    sys.stdout.write(text)
-    if args.out:
-        _write_atomic(args.out, text)
+    _print_record(record, args.out)
     return EXIT_INCONCLUSIVE if trace.classification == bs.INCONCLUSIVE else EXIT_OK
 
 

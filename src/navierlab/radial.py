@@ -20,8 +20,8 @@ the discrete Laplacian, mirroring the continuous identity for the hinged
 
 Radial integrals int_Omega phi dx = omega_{N-1} int phi(r) r^(N-1) dr use
 composite Simpson quadrature (with a 3/8 tail when the interval count is
-odd), fourth-order for smooth integrands.  Symbolic coefficients for
-Delta^2 r^s and Delta^2 (a log r) serve as oracles for the stencils.
+odd), fourth-order for smooth integrands.  The test suite's symbolic
+oracle applies ``minus_laplacian`` itself twice to r^s and -4 log r.
 
 Solves against -Delta_h call LAPACK ``dgtsv`` (from ``navierlab._lapack``)
 on the three diagonals directly.  ``minus_laplacian`` and ``volume_weights``
@@ -41,17 +41,11 @@ from ._lapack import dgtsv
 __all__ = [
     "RadialGrid",
     "BandedOperator",
-    "laplacian_matrix",
     "minus_laplacian",
     "volume_weights",
     "unit_sphere_area",
     "integrate_radial",
     "radial_gradient",
-    "radial_power_laplacian",
-    "radial_power_bilaplacian",
-    "log_laplacian_coefficient",
-    "log_bilaplacian_coefficient",
-    "apply_laplacian_stencil",
     "solve_navier_biharmonic",
     "field_rows",
 ]
@@ -144,26 +138,6 @@ class BandedOperator:
         return _read_only(bands)
 
 
-def laplacian_matrix(grid: RadialGrid) -> BandedOperator:
-    """Discrete radial Laplacian Delta_h on the active nodes (flux form)."""
-    N, h, r = grid.dim_N, grid.h, grid.r
-    M = grid.size
-    sub = np.zeros(M)
-    diag = np.zeros(M)
-    sup = np.zeros(M)
-    diag[0] = -2.0 * N / h**2
-    sup[0] = 2.0 * N / h**2
-    ri = r[1:]
-    km = (ri - h / 2.0) ** (N - 1)
-    kp = (ri + h / 2.0) ** (N - 1)
-    rho = ((ri + h / 2.0) ** N - (ri - h / 2.0) ** N) / (N * h)
-    sub[1:] = km / (h**2 * rho)
-    diag[1:] = -(km + kp) / (h**2 * rho)
-    sup[1:] = kp / (h**2 * rho)
-    sup[M - 1] = 0.0
-    return BandedOperator(sub, diag, sup)
-
-
 def _read_only(x: np.ndarray) -> np.ndarray:
     x.flags.writeable = False
     return x
@@ -171,10 +145,25 @@ def _read_only(x: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def minus_laplacian(grid: RadialGrid) -> BandedOperator:
-    """-Delta_h, the positive-definite form used by the solvers.  Built once
-    per grid and shared by every later call, so its arrays are read-only."""
-    L = laplacian_matrix(grid)
-    return BandedOperator(_read_only(-L.sub), _read_only(-L.diag), _read_only(-L.sup))
+    """-Delta_h on the active nodes (flux form), the positive-definite form
+    used by the solvers.  Built once per grid and shared by every later call,
+    so its arrays are read-only."""
+    N, h, r = grid.dim_N, grid.h, grid.r
+    M = grid.size
+    sub = np.zeros(M)
+    diag = np.zeros(M)
+    sup = np.zeros(M)
+    diag[0] = 2.0 * N / h**2
+    sup[0] = -2.0 * N / h**2
+    ri = r[1:]
+    km = (ri - h / 2.0) ** (N - 1)
+    kp = (ri + h / 2.0) ** (N - 1)
+    rho = ((ri + h / 2.0) ** N - (ri - h / 2.0) ** N) / (N * h)
+    sub[1:] = -km / (h**2 * rho)
+    diag[1:] = (km + kp) / (h**2 * rho)
+    sup[1:] = -kp / (h**2 * rho)
+    sup[M - 1] = 0.0
+    return BandedOperator(_read_only(sub), _read_only(diag), _read_only(sup))
 
 
 def unit_sphere_area(N: int) -> float:
@@ -258,57 +247,6 @@ def radial_gradient(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
     d[-1] = (3.0 * x[-1] - 4.0 * x[-2] + x[-3]) / (2.0 * h)
     d[0] = 0.0
     return d
-
-
-# ---------------------------------------------------------------------------
-# symbolic oracles for radial powers and the log profile
-# ---------------------------------------------------------------------------
-
-
-def radial_power_laplacian(s: float, N: int) -> float:
-    """Coefficient c with Delta r^s = c r^(s-2):  c = s(s+N-2)."""
-    return s * (s + N - 2.0)
-
-
-def radial_power_bilaplacian(s: float, N: int) -> float:
-    """Coefficient c with Delta^2 r^s = c r^(s-4).
-
-    Two applications of Delta r^s = s(s+N-2) r^(s-2) give
-    c = s (s+N-2) (s-2) (s+N-4).
-    """
-    return s * (s + N - 2.0) * (s - 2.0) * (s + N - 4.0)
-
-
-def log_laplacian_coefficient(a: float, N: int) -> float:
-    """Coefficient c with Delta (a log r) = c r^(-2):  c = a(N-2)."""
-    return a * (N - 2.0)
-
-
-def log_bilaplacian_coefficient(a: float, N: int) -> float:
-    """Coefficient c with Delta^2 (a log r) = c r^(-4).
-
-    Delta(a log r) = a(N-2) r^(-2) and Delta r^(-2) = -2(N-4) r^(-4), hence
-    c = -2 a (N-2)(N-4).
-    """
-    return -2.0 * a * (N - 2.0) * (N - 4.0)
-
-
-def apply_laplacian_stencil(r_nodes: np.ndarray, values: np.ndarray, N: int) -> np.ndarray:
-    """Flux-form Laplacian of sampled data on a uniform radius array.
-
-    Free-standing stencil for oracle cross-checks: given values at the
-    uniformly spaced radii ``r_nodes`` (which may include boundary points),
-    returns Delta_h values at the interior entries 1..len-2.  No boundary
-    conditions are involved.
-    """
-    r = np.asarray(r_nodes, dtype=float)
-    x = np.asarray(values, dtype=float)
-    h = r[1] - r[0]
-    ri = r[1:-1]
-    km = (ri - h / 2.0) ** (N - 1)
-    kp = (ri + h / 2.0) ** (N - 1)
-    rho = ((ri + h / 2.0) ** N - (ri - h / 2.0) ** N) / (N * h)
-    return (kp * (x[2:] - x[1:-1]) - km * (x[1:-1] - x[:-2])) / (h**2 * rho)
 
 
 def solve_navier_biharmonic(grid: RadialGrid, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

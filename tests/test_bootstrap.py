@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from navierlab import bootstrap as bs
-from navierlab.families import FamilyDomainError, exponential, power, mems
+from navierlab.families import FamilyDomainError, curvature_ratio, exponential, power, mems
+from oracles import RULE_GAMMA, RULE_LIMINF, RULE_LOWDIM, regularity_from_growth
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +228,40 @@ def test_predictor_sound_against_exact_reference():
 def test_generic_rules():
     # unconditional low dimension
     for N in range(2, 6):
-        verdict, rule = bs.regularity_from_growth(N)
-        assert verdict == bs.REGULAR and rule == bs.RULE_LOWDIM
-    assert bs.regularity_from_growth(6) == (bs.UNKNOWN, bs.RULE_NONE)
+        verdict, rule = regularity_from_growth(N)
+        assert verdict == bs.REGULAR and rule == RULE_LOWDIM
+    assert regularity_from_growth(6) == (bs.UNKNOWN, bs.RULE_NONE)
     # positive curvature liminf extends to 7
     for N in (6, 7):
-        assert bs.regularity_from_growth(N, delta_liminf=0.3) == (bs.REGULAR, bs.RULE_LIMINF)
-    assert bs.regularity_from_growth(8, delta_liminf=0.3) == (bs.UNKNOWN, bs.RULE_NONE)
+        assert regularity_from_growth(N, delta_liminf=0.3) == (bs.REGULAR, RULE_LIMINF)
+    assert regularity_from_growth(8, delta_liminf=0.3) == (bs.UNKNOWN, bs.RULE_NONE)
     # finite curvature limsup gives the strict 8/gamma threshold
-    assert bs.regularity_from_growth(7, gamma_limsup=1.0) == (bs.REGULAR, bs.RULE_GAMMA)
-    assert bs.regularity_from_growth(8, gamma_limsup=1.0) == (bs.UNKNOWN, bs.RULE_NONE)
-    assert bs.regularity_from_growth(15, gamma_limsup=0.5) == (bs.REGULAR, bs.RULE_GAMMA)
-    assert bs.regularity_from_growth(16, gamma_limsup=0.5) == (bs.UNKNOWN, bs.RULE_NONE)
+    assert regularity_from_growth(7, gamma_limsup=1.0) == (bs.REGULAR, RULE_GAMMA)
+    assert regularity_from_growth(8, gamma_limsup=1.0) == (bs.UNKNOWN, bs.RULE_NONE)
+    assert regularity_from_growth(15, gamma_limsup=0.5) == (bs.REGULAR, RULE_GAMMA)
+    assert regularity_from_growth(16, gamma_limsup=0.5) == (bs.UNKNOWN, bs.RULE_NONE)
+    # exactly on the bound: power:p=1.25 has gamma = 1/5 (the binary64
+    # 1 - 1/1.25 rounds below it and would admit N = 40)
+    gamma = 1 - 1 / Fraction(1.25)
+    assert regularity_from_growth(39, gamma_limsup=gamma) == (bs.REGULAR, RULE_GAMMA)
+    assert regularity_from_growth(40, gamma_limsup=gamma) == (bs.UNKNOWN, bs.RULE_NONE)
+
+
+@pytest.mark.parametrize("family", [exponential()] + [
+    power(p) for p in (1.1, 1.25, 1.5, 2.0, 3.0, 4.0, 10.0, 1e6)], ids=lambda f: f.spec)
+def test_family_rows_cover_the_general_theorem(family):
+    # the family row says regular wherever the general theorem does, with
+    # gamma the family's constant curvature ratio, so its own liminf and
+    # limsup.  mems is left out: (1-t)^-p is singular at t = 1, not the
+    # regular f the theorem assumes.  The exponents lie off every threshold by far
+    # more than an ulp; test_predictor_sound_against_exact_reference pins
+    # the boundary cases.
+    gamma = Fraction(1) if family.kind == "exp" else 1 - 1 / Fraction(family.p)
+    assert float(gamma) == pytest.approx(curvature_ratio(family), rel=1e-15)
+    for N in range(2, 61):
+        theorem, _ = regularity_from_growth(N, delta_liminf=gamma, gamma_limsup=gamma)
+        if theorem == bs.REGULAR:
+            assert bs.predict_regularity(family, N).verdict == bs.REGULAR, N
 
 
 def test_invalid_params():
@@ -248,5 +271,10 @@ def test_invalid_params():
         bs.ExponentParams(6, 0.5, 1.5, 0.5)
     with pytest.raises(bs.RecursionDomainError):
         bs.ExponentParams(6, 1.0, 0.5, 0.5)
+    # nan fails every comparison, and no exponent is infinite
+    for q0, alpha, beta in ((math.nan, 1.5, 0.5), (math.inf, 1.5, 0.5), (1.0, math.inf, 0.5),
+                            (1.0, math.nan, 0.5), (1.0, 1.5, math.nan)):
+        with pytest.raises(bs.RecursionDomainError):
+            bs.ExponentParams(6, q0, alpha, beta)
     with pytest.raises(bs.RecursionDomainError):
         bs.predict_regularity(exponential(), 1)

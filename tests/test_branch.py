@@ -162,6 +162,17 @@ def test_amplitude_preconditions():
         continue_branch(mems(2.0), grid, MEMS_M_MAX + 1e-6)
 
 
+@pytest.mark.parametrize("solve", [continue_branch, solve_at_amplitude],
+                         ids=["continue_branch", "solve_at_amplitude"])
+@pytest.mark.parametrize("family", [exponential(), mems(2.0)], ids=lambda f: f.spec)
+@pytest.mark.parametrize("limit", [np.nan, np.inf, 0.0])
+def test_amplitude_limit_must_be_positive_and_finite(solve, family, limit):
+    # nan fails every comparison, so it once read as no limit at all and
+    # slipped past the mems clamp that inf hits
+    with pytest.raises(ValueError, match="positive and finite"):
+        solve(family, RadialGrid(3, 64), limit)
+
+
 def test_no_amplitude_tried_past_m_max(monkeypatch):
     # the golden sweep's mems cell: a step that fails near touchdown is
     # retried at the last accepted m plus the halved step, clamped to m_max,

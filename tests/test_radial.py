@@ -9,19 +9,19 @@ from scipy.linalg import solve_banded
 
 from navierlab.radial import (
     RadialGrid,
-    laplacian_matrix,
     minus_laplacian,
     volume_weights,
     unit_sphere_area,
     integrate_radial,
     radial_gradient,
+    solve_navier_biharmonic,
+    field_rows,
+)
+from oracles import (
     radial_power_laplacian,
     radial_power_bilaplacian,
     log_laplacian_coefficient,
     log_bilaplacian_coefficient,
-    apply_laplacian_stencil,
-    solve_navier_biharmonic,
-    field_rows,
 )
 
 
@@ -71,43 +71,35 @@ def test_grid_rejects_underflowing_center_weight(n, first_N):
 # ---------------------------------------------------------------------------
 
 
-def laplacian_with_boundary_value(g, values, outer):
-    """Delta_h of ``values`` with ``outer`` at the eliminated node r = 1: the
-    operator's product plus the free-standing stencil's boundary coupling."""
-    out = laplacian_matrix(g).apply(values)
-    unit_at_boundary = np.array([0.0, 0.0, 1.0])
-    out[-1] += outer * apply_laplacian_stencil(np.append(g.r[-2:], 1.0), unit_at_boundary,
-                                               g.dim_N)[0]
-    return out
+# The operator eliminates the node r = 1 with u = 0 there, so the exactness
+# tests below take profiles that vanish at r = 1.
 
 
 def test_laplacian_annihilates_constants():
     g = RadialGrid(4, 128)
-    L = laplacian_matrix(g)
+    K = minus_laplacian(g)
     c = np.full(g.size, 3.7)
-    # interior rows away from the boundary see an exact zero row sum
-    out = L.apply(c)
+    # every row but the one next to the eliminated node sees a zero row sum
+    out = K.apply(c)
     assert np.max(np.abs(out[:-1])) < 1e-9
-    # supplying the boundary value completes the stencil everywhere
-    out_bc = laplacian_with_boundary_value(g, c, 3.7)
-    assert np.max(np.abs(out_bc)) < 1e-8
 
 
 def test_laplacian_exact_on_r_squared():
+    # Delta (1 - r^2) = -2N: the r^2 term is reproduced exactly
     for N in (2, 3, 5, 10):
         g = RadialGrid(N, 200)
-        out = laplacian_with_boundary_value(g, g.r**2, 1.0)
-        assert np.max(np.abs(out - 2.0 * N)) < 1e-8
+        out = -minus_laplacian(g).apply(1.0 - g.r**2)
+        assert np.max(np.abs(out + 2.0 * N)) < 1e-8
 
 
 def test_laplacian_quartic_second_order():
-    # Delta r^4 = 4(N+2) r^2; error contracts by ~4 per refinement
+    # Delta (1 - r^2)^2 = 4(N+2) r^2 - 4N; error contracts by ~4 per refinement
     N = 3
     errs = []
     for n in (128, 256, 512):
         g = RadialGrid(N, n)
-        out = laplacian_with_boundary_value(g, g.r**4, 1.0)
-        errs.append(np.max(np.abs(out - 4.0 * (N + 2) * g.r**2)))
+        out = -minus_laplacian(g).apply((1.0 - g.r**2) ** 2)
+        errs.append(np.max(np.abs(out - (4.0 * (N + 2) * g.r**2 - 4.0 * N))))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
 
@@ -248,24 +240,23 @@ def test_log_coefficients():
 
 
 def test_double_stencil_matches_symbolic():
-    # two stencil applications on r^s reproduce c(s, N) r^(s-4) at O(h^2).
-    # Grids stay coarse: composing two 1/h^2 stencils amplifies rounding by
-    # 1/h^4, which would swamp the truncation error past n ~ 400.  The
-    # window avoids the center where odd powers lose smoothness.
+    # (-Delta_h)^2 r^s reproduces c(s, N) r^(s-4) at O(h^2).  Grids stay
+    # coarse: composing two 1/h^2 stencils amplifies rounding by 1/h^4,
+    # which would swamp the truncation error past n ~ 400.  The window
+    # avoids the center, where odd powers lose smoothness, and the two rows
+    # next to r = 1, where the operator takes r^s = 1 for 0.
     for s in (2.0, 3.0, 4.0, 6.0):
         for N in (2, 3, 5, 10):
             errs = []
             scale = 1.0
             for n in (64, 128):
-                r = np.linspace(0.0, 1.0, n + 2)
-                w = r**s
-                lap1 = apply_laplacian_stencil(r, w, N)
-                lap2 = apply_laplacian_stencil(r[1:-1], lap1, N)
-                rr = r[2:-2]
-                exact = radial_power_bilaplacian(s, N) * rr ** (s - 4.0)
-                window = (rr >= 0.25) & (rr <= 0.75)
-                errs.append(np.max(np.abs((lap2 - exact)[window])))
-                scale = max(1.0, np.max(np.abs(exact[window])))
+                g = RadialGrid(N, n)
+                K = minus_laplacian(g)
+                window = (g.r >= 0.25) & (g.r <= 0.75)
+                lap2 = K.apply(K.apply(g.r**s))[window]
+                exact = radial_power_bilaplacian(s, N) * g.r[window] ** (s - 4.0)
+                errs.append(np.max(np.abs(lap2 - exact)))
+                scale = max(1.0, np.max(np.abs(exact)))
             # second order or better, unless already at the rounding floor of
             # the composed 1/h^4 stencils (the s = 2 image is exactly zero)
             floor = 1e-6 * scale
@@ -275,16 +266,14 @@ def test_double_stencil_matches_symbolic():
 def test_double_stencil_log_profile():
     # Delta^2 (-4 log r) = 384 r^-4 in dimension 10, checked away from r = 0
     N, a = 10, -4.0
-    n = 512
-    r = np.linspace(0.0, 1.0, n + 2)
-    w = np.zeros_like(r)
-    w[1:] = a * np.log(r[1:])
-    lap1 = apply_laplacian_stencil(r, w, N)
-    lap2 = apply_laplacian_stencil(r[1:-1], lap1, N)
-    rr = r[2:-2]
-    exact = log_bilaplacian_coefficient(a, N) * rr**-4.0
-    window = (rr >= 0.25) & (rr <= 0.75)
-    rel = np.max(np.abs((lap2 - exact)[window] / exact[window]))
+    g = RadialGrid(N, 512)
+    K = minus_laplacian(g)
+    w = np.zeros(g.size)
+    w[1:] = a * np.log(g.r[1:])
+    window = (g.r >= 0.25) & (g.r <= 0.75)
+    lap2 = K.apply(K.apply(w))[window]
+    exact = log_bilaplacian_coefficient(a, N) * g.r[window] ** -4.0
+    rel = np.max(np.abs((lap2 - exact) / exact))
     assert rel < 5e-4
 
 

@@ -20,9 +20,9 @@ from navierlab.radial import RadialGrid, minus_laplacian, volume_weights
 from navierlab.stability import (
     EigenIterationError,
     StabilityReport,
-    dirichlet_laplacian_ground_eigenvalue,
     smallest_stability_eigenvalue,
 )
+from oracles import laplacian_ground_eigenvalue
 
 # the shift sits just left of mu1, far closer than the next mode, so inverse
 # iteration settles in a few solves
@@ -61,11 +61,12 @@ def exp_branch():
 
 def test_squared_laplacian_identity():
     # at the zero solution the stability operator is the discrete Laplacian
-    # composed with itself, so its ground eigenvalue is exactly the square
+    # composed with itself, so its ground eigenvalue is exactly the square;
+    # nu1 comes from a tridiagonal eigensolver, not the shift certificate
     for N in (2, 3, 5):
         grid = RadialGrid(N, 512)
         mu1 = smallest_stability_eigenvalue(exponential(), trivial_point(grid)).mu1
-        nu1 = dirichlet_laplacian_ground_eigenvalue(grid)
+        nu1 = laplacian_ground_eigenvalue(grid)
         assert abs(mu1 - nu1**2) <= 1e-8 * abs(mu1)
 
 
@@ -159,7 +160,7 @@ def test_semistability_up_to_fold_and_crossing(exp_branch):
 def test_mu_continuity_along_branch(exp_branch):
     fam, branch = exp_branch
     mus = [smallest_stability_eigenvalue(fam, pt).mu1 for pt in branch.points]
-    ms = branch.amplitudes
+    ms = [pt.m for pt in branch.points]
     mu0 = abs(mus[0])
     for i in range(1, len(mus)):
         dm = ms[i] - ms[i - 1]
