@@ -10,11 +10,15 @@ start of every ``branch``, ``verify`` and ``sweep`` process, and none of it
 needed here.  So the extension is loaded straight from its file in scipy's
 install tree and registered in ``sys.modules`` under its own name, where a
 later ``import scipy.linalg`` finds it; an earlier one's entry is reused.
-Either way ``scipy.linalg.lapack`` exports the very same objects.
+Either way ``scipy.linalg.lapack`` exports the very same objects.  The
+install tree is found with ``importlib.util.find_spec``, which runs no
+package init either, so importing this module loads no ``scipy`` package at
+all, not even the top-level one.
 
 This is the only module that names the private extension.  There is no
 second path through ``scipy.linalg.lapack``: if scipy moves the file, the
-import fails here, naming the directory searched and the scipy version.
+import fails here, naming the directory searched and the installed scipy
+version.
 """
 
 from __future__ import annotations
@@ -23,8 +27,6 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-
-import scipy
 
 __all__ = ["dgbsv", "dgtsv", "dpbtrf", "dpbtrs"]
 
@@ -39,8 +41,10 @@ def load_flapack(directory: str):
         if os.path.isfile(path):
             break
     else:
+        from importlib.metadata import version  # only here: it costs milliseconds to import
+
         raise ImportError(f"no _flapack extension module in {directory} "
-                          f"(scipy {scipy.__version__})")
+                          f"(scipy {version('scipy')})")
     if _MODULE in sys.modules:
         return sys.modules[_MODULE]
     spec = importlib.util.spec_from_file_location(_MODULE, path)
@@ -50,7 +54,8 @@ def load_flapack(directory: str):
     return module
 
 
-_flapack = load_flapack(os.path.join(os.path.dirname(scipy.__file__), "linalg"))
+_flapack = load_flapack(
+    os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg"))
 dgbsv = _flapack.dgbsv
 dgtsv = _flapack.dgtsv
 dpbtrf = _flapack.dpbtrf

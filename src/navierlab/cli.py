@@ -26,6 +26,7 @@ import argparse
 import json
 import math
 import os
+import pickle
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, fields, replace
@@ -381,6 +382,74 @@ def _run_cell(cell: _Cell, command: str) -> dict:
     return record
 
 
+def _fork_map(run, items: list, workers: int) -> list:
+    """``[run(item) for item in items]``, computed by this process and
+    ``workers - 1`` children forked from it.
+
+    Each process claims the next item from one pipe that holds a single
+    8-byte value, the index of the next unclaimed item: it reads the value
+    and writes back the next one, so a slow item holds up only the process
+    running it.  A child pickles its ``(index, result)`` pairs, or the
+    exception it raised, to its own pipe and leaves with ``os._exit``, so it
+    never flushes the stdout it inherited nor runs atexit handlers.  Every
+    child is reaped, also when this process's own share raised; then the
+    first exception seen is raised.  A child that ends without a result
+    raises ``ChildProcessError`` naming its exit status.  Forking is safe
+    because the process has one thread: ``navierlab`` keeps OpenBLAS from
+    starting its pool.
+    """
+    claim_r, claim_w = os.pipe()
+    os.write(claim_w, (0).to_bytes(8, "little"))
+
+    def share() -> list:
+        done = []
+        while (index := int.from_bytes(os.read(claim_r, 8), "little")) < len(items):
+            os.write(claim_w, (index + 1).to_bytes(8, "little"))
+            done.append((index, run(items[index])))
+        os.write(claim_w, index.to_bytes(8, "little"))  # the next reader stops too
+        return done
+
+    children, shares, errors = [], [], []
+    try:
+        for _ in range(workers - 1):
+            result_r, result_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(result_r)
+                    try:
+                        payload = share()
+                    except BaseException as exc:  # handed to the parent to raise
+                        payload = exc
+                    with open(result_w, "wb") as pipe:
+                        pickle.dump(payload, pipe)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(result_w)
+            children.append((pid, result_r))
+        shares.append(share())
+    except BaseException as exc:  # raised below, once every child is reaped
+        errors.append(exc)
+    for pid, result_r in children:
+        with open(result_r, "rb") as pipe:
+            data = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status or not data:
+            errors.append(ChildProcessError(f"sweep worker {pid} ended with exit status "
+                                            f"{status} and no result"))
+        else:
+            payload = pickle.loads(data)  # written by the child above
+            (errors if isinstance(payload, BaseException) else shares).append(payload)
+    os.close(claim_r)
+    os.close(claim_w)
+    if errors:
+        raise errors[0]
+    found = dict(pair for done in shares for pair in done)
+    return [found[index] for index in range(len(items))]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -439,15 +508,11 @@ def cmd_run(args) -> int:
     unique = {(c.cfg.family, c.cfg.N): c for c in cells}
     cells = [replace(c, cfg=replace(c.cfg, jobs=1)) for c in unique.values()]
     run = partial(_run_cell, command="sweep")
-    # the pool forks all its workers at once, so no more than there are cores
-    workers = min(cfg.jobs, len(cells), os.cpu_count() or 1)
+    # this process and workers - 1 forked children share the cells; more of
+    # them than cores would only take turns on them
+    workers = min(cfg.jobs, len(cells), os.cpu_count() or 1) if hasattr(os, "fork") else 1
     if workers > 1:
-        # imported here so that commands without a worker pool never load
-        # multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run, cells))
+        records = _fork_map(run, cells, workers)
     else:
         records = [run(cell) for cell in cells]
     records.sort(key=lambda c: (c["family"], c["N"]))

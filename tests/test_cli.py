@@ -1,18 +1,21 @@
 """Command-line interface: subcommands, exit codes, file formats,
 configuration precedence, determinism."""
 
+import contextlib
 import csv
 import json
 import math
 import os
+import signal
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from navierlab import branch as branch_module
-from navierlab import radial
+from navierlab import cli, radial
 from navierlab.branch import NewtonDivergedError
 from navierlab.cli import main
 
@@ -29,26 +32,16 @@ def read(path, mode="r"):
 
 
 def inline_pool(monkeypatch, cores):
-    """Stand in for the sweep's worker pool and the core count.  The list
-    returned receives each pool's size; its tasks run in this process."""
-    import concurrent.futures
-
+    """Stand in for the sweep's forked workers and the core count.  The list
+    returned receives each fork_map's worker count; its items run in this
+    process."""
     sizes = []
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def inline_fork_map(run, items, workers):
+        sizes.append(workers)
+        return [run(item) for item in items]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli, "_fork_map", inline_fork_map)
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
     return sizes
 
@@ -572,26 +565,131 @@ def test_sweep_aggregate(tmp_path, capsys):
 
 
 def test_sweep_parallel_matches_serial(tmp_path, capsys):
-    serial = str(tmp_path / "serial")
-    parallel = str(tmp_path / "parallel")
-    args = ["sweep", "--families", "exp", "--dims", "3,4", "--n", "64",
+    # mems p = 1 fails its cells (estimates not applicable), forked or not
+    args = ["sweep", "--families", "exp,mems:p=1", "--dims", "3,4", "--n", "64",
             "--m-max", "0.3", "--amplitude-step", "0.1"]
-    run(capsys, *args, "--out", serial)
-    run(capsys, *args, "--out", parallel, "--jobs", "2")
-    a = read(os.path.join(serial, "sweep.csv"), "rb")
-    b = read(os.path.join(parallel, "sweep.csv"), "rb")
-    assert a == b
+    results = []
+    for jobs in ("1", "2"):
+        out = str(tmp_path / jobs)
+        code = main([*args, "--jobs", jobs, "--out", out])
+        captured = capsys.readouterr()
+        results.append((code, read(os.path.join(out, "sweep.csv"), "rb"), captured.out,
+                        captured.err.splitlines()))
+    assert results[0] == results[1]
+    assert results[0][0] == 3 and len(results[0][3]) == 4
 
 
 @pytest.mark.parametrize("cores, jobs, pool", [(2, 1000, [2]), (None, 1000, []), (8, 3, [3])])
 def test_sweep_pool_is_capped_at_the_cores(cores, jobs, pool, tmp_path, capsys, monkeypatch):
-    # the executor forks all its workers at the first task, so it gets no
-    # more of them than there are cores (one when the count is unknown)
+    # more workers than cores would only take turns on them (one worker
+    # when the count is unknown)
     sizes = inline_pool(monkeypatch, cores)
     code, _ = run(capsys, "sweep", "--families", "exp,power:p=2", "--dims", "3..4", *FOLDED,
                   "--jobs", str(jobs), "--out", str(tmp_path / "s"))
     assert code == 0
     assert sizes == pool
+
+
+def test_sweep_without_fork_runs_serially(tmp_path, capsys, monkeypatch):
+    sizes = inline_pool(monkeypatch, cores=2)
+    monkeypatch.delattr(os, "fork")
+    code, _ = run(capsys, "sweep", "--families", "exp,power:p=2", "--dims", "3..4", *FOLDED,
+                  "--jobs", "2", "--out", str(tmp_path / "s"))
+    assert code == 0
+    assert sizes == []
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail a test that is still running after ``seconds`` instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def in_children(action):
+    """A fork_map task that runs ``action`` in a forked child and, slowly,
+    returns its item in this process, so the children claim items too."""
+    parent = os.getpid()
+
+    def task(item):
+        if os.getpid() != parent:
+            action()
+        time.sleep(0.02)
+        return item
+
+    return task
+
+
+@needs_fork
+def test_fork_map_raises_a_child_exception():
+    def fail():
+        raise LookupError("raised in a child")
+
+    with deadline(60), pytest.raises(LookupError, match="raised in a child"):
+        cli._fork_map(in_children(fail), list(range(50)), 2)
+
+
+@needs_fork
+def test_fork_map_reports_a_child_that_exits_with_a_claimed_item():
+    with deadline(60), pytest.raises(ChildProcessError, match="exit status 3"):
+        cli._fork_map(in_children(lambda: os._exit(3)), list(range(50)), 2)
+
+
+@needs_fork
+def test_fork_map_reaps_its_children_when_its_own_share_raises(monkeypatch):
+    parent = os.getpid()
+    forked = []
+
+    def fork():
+        pid = real_fork()
+        forked.append(pid)
+        return pid
+
+    def task(item):
+        if os.getpid() == parent:
+            raise LookupError("raised in the parent")
+        time.sleep(0.02)  # so that this process claims an item too
+        return item
+
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", fork)
+    with deadline(60), pytest.raises(LookupError, match="raised in the parent"):
+        cli._fork_map(task, list(range(50)), 3)
+    assert len(forked) == 2
+    for pid in forked:
+        with pytest.raises(ChildProcessError):  # already waited for
+            os.waitpid(pid, os.WNOHANG)
+
+
+@needs_fork
+def test_fork_map_returns_every_item_once_and_in_order(tmp_path):
+    # more items than one pipe holds as indices, and more workers than cores
+    log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def task(item):
+        os.write(log, b"%d\n" % item)
+        return -item
+
+    count = 40_000
+    try:
+        with deadline(120):
+            results = cli._fork_map(task, list(range(count)), 4)
+    finally:
+        os.close(log)
+    assert results == [-item for item in range(count)]
+    ran = sorted(int(line) for line in read(tmp_path / "log").split())
+    assert ran == list(range(count))
 
 
 def test_sweep_spells_each_family_once(tmp_path, capsys):

@@ -281,14 +281,27 @@ def test_H_rejects_non_finite():
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    # nor the scipy.linalg package: only its compiled LAPACK module is loaded;
-    # and no process pool until a sweep runs on more than one job
+    # nor any scipy package, not even scipy itself: only its compiled LAPACK
+    # module is loaded; and no process pool
     code = ("import sys, navierlab, navierlab.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', "
-            "'scipy.linalg', 'concurrent.futures.process'))))")
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy', "
+            "'concurrent.futures.process', 'multiprocessing'))))")
     result = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                             text=True, check=True, timeout=120)
     assert result.stdout.strip() == "['scipy.linalg._flapack']"
+
+
+def test_forked_sweep_loads_no_process_pool(tmp_path):
+    # two cores, whatever this host has, so that the sweep forks a worker
+    code = ("import os, sys; os.cpu_count = lambda: 2; from navierlab.cli import main; "
+            "code = main(['sweep', '--families', 'exp', '--dims', '3,4', '--n', '64', "
+            "'--m-max', '0.3', '--amplitude-step', '0.1', '--jobs', '2', "
+            f"'--out', {str(tmp_path)!r}]); "
+            "print(code, sorted(m for m in sys.modules "
+            "if m.startswith(('concurrent.futures.process', 'multiprocessing'))))")
+    result = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                            text=True, check=True, timeout=120)
+    assert result.stdout.splitlines()[-1] == "3 []"
 
 
 def test_package_exports_every_public_name():
