@@ -15,10 +15,12 @@ install tree is found with ``importlib.util.find_spec``, which runs no
 package init either, so importing this module loads no ``scipy`` package at
 all, not even the top-level one.
 
-This is the only module that names the private extension.  There is no
-second path through ``scipy.linalg.lapack``: if scipy moves the file, the
-import fails here, naming the directory searched and the installed scipy
-version.
+This is the only module that names the private extension.  ``radial``,
+``branch`` and ``stability`` import it, so loading any of the compute
+modules loads it; ``import navierlab`` alone does not.  There is no second
+path through ``scipy.linalg.lapack``: if scipy moves the file, the import
+fails here with an ``ImportError`` naming the directory searched and the
+installed scipy version, and if scipy is not installed, with one saying so.
 """
 
 from __future__ import annotations
@@ -54,8 +56,11 @@ def load_flapack(directory: str):
     return module
 
 
-_flapack = load_flapack(
-    os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg"))
+_scipy = importlib.util.find_spec("scipy")
+if _scipy is None or not _scipy.submodule_search_locations:
+    raise ImportError("navierlab needs scipy for its LAPACK routines, and no scipy "
+                      "package is installed")
+_flapack = load_flapack(os.path.join(_scipy.submodule_search_locations[0], "linalg"))
 dgbsv = _flapack.dgbsv
 dgtsv = _flapack.dgtsv
 dpbtrf = _flapack.dpbtrf

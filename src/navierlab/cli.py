@@ -34,14 +34,9 @@ from functools import partial
 
 import numpy as np
 
-from . import bootstrap as bs
+# bootstrap and estimates are imported by the commands that use them, so a
+# branch run never loads them
 from .branch import MEMS_M_MAX, Branch, ContinuationError, SolverConfig, continue_branch
-from .estimates import (
-    check_L2,
-    check_crucial_integrals,
-    check_fprime_integral,
-    run_pointwise_suite,
-)
 from .families import FamilyDomainError, NonlinearityFamily, parse_family
 from .radial import RadialGrid, field_rows
 from .stability import EigenIterationError, smallest_stability_eigenvalue
@@ -294,6 +289,8 @@ def _mu1_column(family, branch: Branch) -> list[float]:
 
 
 def _suprema_summary(family, branch: Branch) -> dict:
+    from .estimates import check_L2, check_crucial_integrals, check_fprime_integral
+
     summary = {}
     for check in (check_crucial_integrals, check_L2, check_fprime_integral):
         try:
@@ -317,7 +314,9 @@ def _run_cell(cell: _Cell, command: str) -> dict:
     record = {"family": cfg.family, "N": cfg.N, "status": "ok", "error": "",
               "lambda_star": math.nan, "fold_detected": False, "estimates_ok": False}
     if command == "sweep":
-        verdict = bs.predict_regularity(family, cfg.N)
+        from .bootstrap import predict_regularity
+
+        verdict = predict_regularity(family, cfg.N)
         record.update(verdict=verdict.verdict, rule=verdict.rule)
     try:
         try:
@@ -332,6 +331,8 @@ def _run_cell(cell: _Cell, command: str) -> dict:
         mu1 = _mu1_column(family, branch) if command != "verify" else []
         reports, not_applicable = [], ""
         if command != "branch":
+            from .estimates import run_pointwise_suite
+
             try:
                 reports = [rep for pt in branch.pre_fold_points
                            for rep in run_pointwise_suite(family, pt)]
@@ -465,12 +466,16 @@ def _print_record(record: dict, out: str | None) -> None:
 
 
 def cmd_predict(args) -> int:
-    verdict = bs.predict_regularity(parse_family(args.family), args.N)
+    from .bootstrap import predict_regularity
+
+    verdict = predict_regularity(parse_family(args.family), args.N)
     _print_record(asdict(verdict), args.out)
     return EXIT_OK
 
 
 def cmd_bootstrap(args) -> int:
+    from . import bootstrap as bs
+
     params = bs.ExponentParams(args.N, args.q, args.alpha, args.beta)
     trace = bs.run_bootstrap(params, max_steps=args.steps)
     record = {
@@ -508,6 +513,8 @@ def cmd_run(args) -> int:
     unique = {(c.cfg.family, c.cfg.N): c for c in cells}
     cells = [replace(c, cfg=replace(c.cfg, jobs=1)) for c in unique.values()]
     run = partial(_run_cell, command="sweep")
+    # every cell runs both; loaded here, the forked workers inherit them
+    from . import bootstrap, estimates  # noqa: F401
     # this process and workers - 1 forked children share the cells; more of
     # them than cores would only take turns on them
     workers = min(cfg.jobs, len(cells), os.cpu_count() or 1) if hasattr(os, "fork") else 1

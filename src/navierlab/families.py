@@ -244,8 +244,15 @@ def _mems_H(p: float, values: np.ndarray) -> np.ndarray:
 
 
 # composite rule for H: 8-point Gauss-Legendre nodes and weights on [-1, 1],
-# applied on equal panels no wider than _PANEL_WIDTH
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# applied on equal panels no wider than _PANEL_WIDTH.  They are the values of
+# numpy.polynomial.legendre.leggauss(8), bit for bit, written out so that no
+# process loads numpy.polynomial to build them.
+_GL_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
+_GL_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
 _PANEL_WIDTH = 0.25
 
 

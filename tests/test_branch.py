@@ -208,6 +208,19 @@ def test_march_stops_one_sample_past_the_fold():
     assert smallest_stability_eigenvalue(fam, last).mu1 < 0.0
 
 
+@pytest.mark.xfail(strict=True, reason="a noise fold: lambda is flat to about 1e-12 near "
+                   "the critical dimension, and rounding makes it decrease between two "
+                   "samples whose slopes are both positive")
+def test_sample_past_the_reported_fold_is_unstable():
+    # exp N=12.5 on n=2048 reports a fold at index 72 (m = 27.825), yet mu1
+    # is +409.8 there and at the next sample: no semi-stable point was left
+    fam = exponential()
+    branch = continue_branch(fam, RadialGrid(12.5, 2048), 60.0, SolverConfig(amplitude_step=0.1))
+    assert branch.fold_detected
+    past = branch.points[branch.fold_index + 1]
+    assert smallest_stability_eigenvalue(fam, past).mu1 < 0.0
+
+
 def _upper_branch(m_stop):
     """exp N=3 on n=64 from one sample past its fold (m = 3 at step 1) up
     the unstable branch by unit steps to m_stop, each solve started from

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import navierlab
+from navierlab import families
 from navierlab._lapack import load_flapack
 from navierlab.families import (
     FamilyDomainError,
@@ -275,9 +276,42 @@ def test_H_rejects_non_finite():
             h_aux_grid(exponential(), np.array([t]))
 
 
+def test_gauss_legendre_constants_are_leggauss():
+    # h_aux_grid's rule, bit for bit, without loading numpy.polynomial
+    for constant, expected in zip((families._GL_NODES, families._GL_WEIGHTS),
+                                  np.polynomial.legendre.leggauss(8)):
+        assert constant.dtype == expected.dtype and constant.tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # import footprint and the LAPACK binding
 # ---------------------------------------------------------------------------
+
+
+def test_bare_import_loads_no_numpy():
+    # nor any module of the package, while OPENBLAS_NUM_THREADS is set for
+    # the numpy a compute module loads later
+    env = src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    code = ("import os, sys, navierlab; "
+            "print(sorted(m for m in sys.modules if m.startswith(('numpy', 'scipy', 'navierlab.'))), "
+            "os.environ.get('OPENBLAS_NUM_THREADS'))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=120)
+    assert result.stdout.strip() == "[] 1"
+
+
+def test_branch_run_loads_no_estimates(tmp_path):
+    # branch runs neither the bootstrap predictor nor the estimates, and
+    # nothing it runs needs numpy.polynomial
+    code = ("import sys; from navierlab.cli import main; "
+            "code = main(['branch', '--family', 'exp', '--N', '3', '--n', '64', '--m-max', '4', "
+            f"'--amplitude-step', '0.1', '--out', {str(tmp_path)!r}]); "
+            "print(code, [m for m in ('navierlab.bootstrap', 'navierlab.estimates', "
+            "'numpy.polynomial') if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                            text=True, check=True, timeout=120)
+    assert result.stdout.splitlines()[-1] == "0 []"
 
 
 def test_import_leaves_scipy_integrate_unloaded():
@@ -292,23 +326,42 @@ def test_import_leaves_scipy_integrate_unloaded():
 
 
 def test_forked_sweep_loads_no_process_pool(tmp_path):
-    # two cores, whatever this host has, so that the sweep forks a worker
-    code = ("import os, sys; os.cpu_count = lambda: 2; from navierlab.cli import main; "
-            "code = main(['sweep', '--families', 'exp', '--dims', '3,4', '--n', '64', "
+    # two cores, whatever this host has, so that the sweep forks a worker.
+    # Every cell runs the bootstrap predictor and the estimates, so both are
+    # loaded once, before the fork, for the workers to inherit.
+    code = ("import os, sys; os.cpu_count = lambda: 2; from navierlab import cli; "
+            "fork_map, loaded = cli._fork_map, []; "
+            "cli._fork_map = lambda *args: loaded.append(sorted(m for m in sys.modules "
+            "if m in ('navierlab.bootstrap', 'navierlab.estimates'))) or fork_map(*args); "
+            "code = cli.main(['sweep', '--families', 'exp', '--dims', '3,4', '--n', '64', "
             "'--m-max', '0.3', '--amplitude-step', '0.1', '--jobs', '2', "
             f"'--out', {str(tmp_path)!r}]); "
             "print(code, sorted(m for m in sys.modules "
-            "if m.startswith(('concurrent.futures.process', 'multiprocessing'))))")
+            "if m.startswith(('concurrent.futures.process', 'multiprocessing'))), loaded)")
     result = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                             text=True, check=True, timeout=120)
-    assert result.stdout.splitlines()[-1] == "3 []"
+    assert result.stdout.splitlines()[-1] == (
+        "3 [] [['navierlab.bootstrap', 'navierlab.estimates']]")
 
 
 def test_package_exports_every_public_name():
+    exported = {}
     for name in ("families", "bootstrap", "radial", "branch", "stability", "estimates"):
         module = importlib.import_module(f"navierlab.{name}")
         for public in module.__all__:
             assert getattr(navierlab, public, None) is getattr(module, public), (name, public)
+            exported[public] = getattr(module, public)
+    assert set(exported) <= set(dir(navierlab))
+    star = {}
+    exec("from navierlab import *", star)
+    del star["__builtins__"]
+    assert star.keys() == exported.keys()
+    assert all(star[public] is exported[public] for public in exported)
+    # the same names when a star import is a fresh process's first use
+    code = "from navierlab import *; print(sorted(k for k in dir() if not k.startswith('__')))"
+    result = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                            text=True, check=True, timeout=120)
+    assert result.stdout.strip() == str(sorted(exported))
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
@@ -351,6 +404,17 @@ def test_lapack_binds_scipy_exports(order):
     result = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                             text=True, check=True, timeout=120)
     assert result.stdout.strip() == "[True, True, True, True]"
+
+
+def test_lapack_without_scipy_raises_import_error():
+    code = ("import importlib.util; find_spec = importlib.util.find_spec; "
+            "importlib.util.find_spec = lambda name, *args: "
+            "None if name == 'scipy' else find_spec(name, *args)\n"
+            "try:\n    import navierlab._lapack\n"
+            "except ImportError as exc:\n    print(exc)")
+    result = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                            text=True, check=True, timeout=120)
+    assert "no scipy package is installed" in result.stdout
 
 
 def test_lapack_missing_module_names_directory(tmp_path):
