@@ -12,19 +12,17 @@ by damped Newton iteration on B = K^2 - lambda diag f'(u), the operator
 whose spectrum decides semi-stability (``navierlab.stability``), bordered
 by the lambda column and the constraint row.  LAPACK ``dgbsv`` (from
 ``navierlab._lapack``, without the ``scipy.linalg`` package init) factors
-it.  Every solve starts from the Euler step along a solved point's tangent;
-continuation starts at the trivial solution (lambda, u) = (0, 0), marches m
-upward with adaptive steps until one sample lies past the first fold (or m
-reaches m_max), then solves at that fold, this grid's extremal solution u*.
+it.  Every solve starts from the Euler step along a solved point's tangent.
+Continuation starts at the trivial solution (lambda, u) = (0, 0), marches m
+upward with adaptive steps until a point is not semi-stable (or m reaches
+m_max), then solves at the first fold, this grid's extremal solution u*.
 
-A ``Branch`` keeps only its points and grid and derives the rest from
-them by one rule: the fold is the first sample where lambda turns (the
-first with dlam_dm <= 0, or the last before lambda first decreases),
-detected when interior, and the extremal-parameter estimate is lambda
-there.  ``pre_fold_points`` exposes the semi-stable segment up to
-and including it.  The largest sampled lambda would not do: near a
-critical dimension the discrete branch turns several times, and a later
-turn can carry a larger lambda.
+The minimal branch is the branch of semi-stable solutions, so one flag on
+every point decides the fold: it lies between the last semi-stable point
+and the first that is not.  A ``Branch`` derives from its points the fold,
+whether one was passed, lambda* there and ``pre_fold_points``.  lambda
+alone would not do: near a critical dimension rounding makes it fall
+between semi-stable samples, and a later turn can carry a larger lambda.
 """
 
 from __future__ import annotations
@@ -36,6 +34,8 @@ import numpy as np
 from ._lapack import dgbsv
 from .families import FamilyDomainError, NonlinearityFamily
 from .radial import RadialGrid, BandedOperator, minus_laplacian, solve_navier_biharmonic
+from .radial import volume_weights
+from .stability import _cholesky, _stability_bands
 
 __all__ = [
     "SolverConfig",
@@ -59,6 +59,7 @@ MEMS_M_MAX = 1.0 - 1e-4
 # loosest Newton tolerance a run may ask for: the discretization error the
 # test suite measures between n = 1024 and n = 2048
 MAX_NEWTON_TOL = 1e-6
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,8 @@ class SolverConfig:
 
 @dataclass
 class BranchPoint:
-    """One solution at amplitude m, with v = K u = -Delta_h u and its tangent (du_dm, dlam_dm)."""
+    """One solution at amplitude m, with v = K u = -Delta_h u, its tangent
+    (du_dm, dlam_dm) and whether B = K^2 - lambda f'(u) is semi-stable there."""
 
     m: float
     lam: float
@@ -95,6 +97,7 @@ class BranchPoint:
     grid: RadialGrid = field(repr=False)
     dlam_dm: float = np.nan
     du_dm: np.ndarray | None = field(default=None, repr=False)
+    semi_stable: bool = True
 
 
 @dataclass
@@ -106,24 +109,23 @@ class Branch:
     grid: RadialGrid = field(repr=False)
 
     @property
-    def lambdas(self) -> np.ndarray:
-        return np.array([p.lam for p in self.points])
-
-    @property
     def fold_index(self) -> int:
-        """Index of the first fold: the first sample with dlam_dm <= 0, or
-        the last before lambda first decreases; the last point when lambda
-        never turns (0 with no points)."""
-        lams = self.lambdas
-        for k, pt in enumerate(self.points[:-1]):
-            if pt.dlam_dm <= 0.0 or lams[k + 1] < lams[k]:
-                return k
-        return max(len(self.points) - 1, 0)
+        """Index of the first fold: the better in lambda of the last
+        semi-stable point and the first that is not, so the largest lambda
+        up to there, as lambda rises wherever B is positive definite.  That
+        is u* whichever way its own flag, rounding as mu1 is about 0, reads.
+        The last point is the fold only when every point is semi-stable,
+        never as the march's sample past the fold (0 with no points)."""
+        pts = self.points
+        first = next((k for k, pt in enumerate(pts) if not pt.semi_stable), len(pts))
+        if 0 < first < len(pts) - 1 and pts[first].lam > pts[first - 1].lam:
+            return first
+        return max(first - 1, 0)
 
     @property
     def fold_detected(self) -> bool:
-        """Whether the first fold has a sample on each side."""
-        return 0 < self.fold_index < len(self.points) - 1
+        """Whether the branch passed its first fold: some point is not semi-stable."""
+        return not all(pt.semi_stable for pt in self.points)
 
     @property
     def lambda_star_estimate(self) -> float:
@@ -190,7 +192,9 @@ def _newton(K, family, grid, m, u, lam, config) -> BranchPoint:
     step.  The accepted line-search trial's residual starts the next step.
     The m-derivative of the system, B du/dm = f(u) dlambda/dm with
     du/dm[0] = 1, makes the last solve's B z = -f(u) the branch tangent,
-    stored on the point: du/dm = z / z[0], dlambda/dm = -1 / z[0].
+    stored on the point: du/dm = z / z[0], dlambda/dm = -1 / z[0].  So is
+    whether B is semi-stable: whether its symmetric form T (``stability``)
+    has a banded Cholesky factor at the shift -2 eps ||T||_1.
     """
     D = float(np.max(np.abs(K.diag)))
     res = _residual(K, D, family, u, lam, m)
@@ -201,7 +205,10 @@ def _newton(K, family, grid, m, u, lam, config) -> BranchPoint:
         R, R_amp, fu, rn = res
         if rn <= config.newton_tol and update_rel is not None and update_rel <= config.newton_tol:
             z0 = float(z[0])
-            return BranchPoint(m, float(lam), u, K.apply(u), rn, it, grid, -1.0 / z0, z / z0)
+            upper, t_norm = _stability_bands(K, np.sqrt(volume_weights(grid)), lam, family.fp(u))
+            stable = np.isfinite(t_norm) and _cholesky(upper, -2.0 * EPS * t_norm) is not None
+            return BranchPoint(m, float(lam), u, K.apply(u), rn, it, grid, -1.0 / z0, z / z0,
+                               bool(stable))
         if it == MAX_NEWTON:
             break
         # bandwidth (2, 2) in the gbsv layout (row 4 + i - j holds entry
@@ -258,11 +265,9 @@ def solve_at_amplitude(
 
     Newton starts from the Euler step along the tangent of ``guess``, a
     solved point on the same grid, or of the trivial point when none is given.
-    Without a guess the start is lambda = m / Phi(0), which far past the fold
-    lies far above the branch and can stall: power(2) in N=4 on n=256 at
-    m=10 starts at lambda 960 against 29.4 on the branch, and the line search
-    stalls.  There, start from a solved neighbour on ``continue_branch``'s
-    branch (2 Newton steps in that case).
+    That start, lambda = m / Phi(0), lies far above the branch far past the
+    fold and can stall (power(2), N=4, n=256, m=10); start there from a
+    solved neighbour on ``continue_branch``'s branch.
     """
     config = config or SolverConfig()
     if not 0.0 < m < np.inf:
@@ -286,20 +291,18 @@ def continue_branch(
 ) -> Branch:
     """March the amplitude from the trivial point along the minimal branch,
     starting each solve from the Euler step along the last point's tangent,
-    until the first fold has a sample after it; a branch whose lambda does
-    not turn below m_max ends at m_max.
+    until a point is not semi-stable, so that the first fold lies behind it,
+    or up to m_max.
 
     Every amplitude tried is min(last accepted m + step, m_max).  Steps
     halve whenever Newton diverges, and halve again while the retry would
     still be clamped to m_max (it would repeat the failed solve from the
     same start); they grow after fast convergence, capped at
-    MAX_STEP_FACTOR * amplitude_step.  A Newton trial outside the family's
-    domain, or whose residual overflows, is rejected by the line search like
-    any other, and the singular family is continued to at most
-    MEMS_M_MAX = 1 - 1e-4.  The first fold, which may lie between the
-    trivial point and the first sample, is then solved (``_solve_fold``), on
-    a partial branch too: a step below MIN_STEP_FACTOR * amplitude_step
-    raises ContinuationError carrying the Branch of the solved points.
+    MAX_STEP_FACTOR * amplitude_step.  The singular family is continued to
+    at most MEMS_M_MAX.  The first fold, which may lie between the trivial
+    point and the first sample, is then solved (``_solve_fold``), on a
+    partial branch too: a step below MIN_STEP_FACTOR * amplitude_step raises
+    ContinuationError carrying the Branch of the solved points.
     """
     config = config or SolverConfig()
     if not 0.0 < m_max < np.inf:
@@ -313,7 +316,7 @@ def continue_branch(
     points = [trivial_point(grid)]
     step = min(step0, m_max)
     failure = ""
-    while not failure:
+    while not failure and points[-1].semi_stable:
         m_last = points[-1].m  # the last accepted amplitude
         m_target = min(m_last + step, m_max)  # first try, retry and next step
         if m_target <= m_last:
@@ -330,8 +333,6 @@ def continue_branch(
                 failure = f"step fell below {step_floor:g} near m={m_target:g}: {exc}"
             continue
         points.append(pt)
-        if Branch(points, grid).fold_index < len(points) - 1:
-            break  # the first fold has a sample after it
         if pt.newton_iters <= 4:
             step = min(step * STEP_GROWTH, step_cap)
     _solve_fold(K, family, grid, config, points)
@@ -355,44 +356,38 @@ def _hermite_peak(a: BranchPoint, b: BranchPoint) -> tuple[float, float]:
 def _solve_fold(K, family, grid, config, points) -> None:
     """Solve at the first fold: this grid's extremal solution u*.
 
-    The first turn lies between neighbouring samples a and b.  While their
-    slopes change sign, the next solve lands on their ``_hermite_peak``,
-    until it exceeds the better sample, u*, by at most newton_tol relative.
-    A pair with no sign change (a double turn), or not half as wide as two
-    solves before (a steep far side holds the peaks next to a), is bisected.
-    A u* right after the trivial point, which the Branch drops, gets one
-    more solve halfway to it.  Each solve starts from a, then from b; stops
-    when no fold shows, both starts fail or the amplitude leaves the pair.
+    The fold lies between a, the last semi-stable point, and b, the first
+    that is not.  While their slopes do not bracket a turn (a.dlam_dm > 0 >=
+    b.dlam_dm), a solve at the midpoint replaces the end with its
+    ``semi_stable``; once they do, a solve at the ``_hermite_peak`` replaces
+    the end with its slope sign, until that peak exceeds the better end,
+    u*, by at most newton_tol relative.  Each solve starts from a, and one
+    that fails is retried halfway to a, until the amplitude leaves the pair.
     """
-    widths = [np.inf, np.inf]  # of the pair two solves and one solve before
+    j = next((k for k, pt in enumerate(points) if not pt.semi_stable), None)
+    if j is None:
+        return  # every point is semi-stable: no fold to solve
+    a, b, m_new = points[j - 1], points[j], None
     for _ in range(200):
-        k = Branch(points, grid).fold_index
-        i = k - 1 if points[k].dlam_dm <= 0.0 else k
-        if i + 1 == len(points):
-            return  # lambda still rises at the last sample
-        a, b = points[i], points[i + 1]
-        m_new = 0.5 * (a.m + b.m)
-        if a.dlam_dm > 0.0 >= b.dlam_dm:
-            m_peak, peak = _hermite_peak(a, b)
+        bracket = a.dlam_dm > 0.0 >= b.dlam_dm
+        if m_new is None:
+            m_new, peak = _hermite_peak(a, b) if bracket else (0.5 * (a.m + b.m), np.inf)
             best = max(a.lam, b.lam)
             if peak - best <= config.newton_tol * abs(best):
-                if k > 1:
-                    return
-                i, a, b, m_new = 0, points[0], points[1], 0.5 * points[1].m
-            elif b.m - a.m <= 0.5 * widths[0]:
-                m_new = m_peak
-        widths = [widths[1], b.m - a.m]
+                return
         if not a.m < m_new < b.m:
             return
-        for start in (a, b):
-            try:
-                points.insert(i + 1, _newton(K, family, grid, m_new,
-                                             *_predict(start, m_new), config))
-                break
-            except NewtonDivergedError:
-                continue
+        try:
+            pt = _newton(K, family, grid, m_new, *_predict(a, m_new), config)
+        except NewtonDivergedError:
+            m_new = 0.5 * (a.m + m_new)  # retry halfway to a
+            continue
+        m_new = None
+        points.insert(j, pt)
+        if pt.dlam_dm > 0.0 if bracket else pt.semi_stable:
+            a, j = pt, j + 1
         else:
-            return
+            b = pt
 
 
 def trivial_point(grid: RadialGrid) -> BranchPoint:

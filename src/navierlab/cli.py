@@ -16,7 +16,7 @@ command reports, settles its final status and only then writes artifacts that
 carry it.  One failure table (``_status`` and ``_EXIT``) gives every outcome
 its status and exit code: 0 success, 2 usage/config error or estimates not
 applicable, 3 inconclusive (a bootstrap classification, or a branch whose
-first fold has no sample on one side, so no fold was seen), 4 compute
+every point is semi-stable, so no fold was seen), 4 compute
 failure (a partial branch is kept and flagged).
 """
 
@@ -347,8 +347,8 @@ def _run_cell(cell: _Cell, command: str) -> dict:
         if record["status"] == "ok" and not_applicable:
             record.update(status="not-applicable", error=not_applicable)
         if record["status"] == "ok" and not branch.fold_detected:
-            record.update(status="no-fold", error="lambda does not turn between two samples "
-                          "of the branch, so lambda_star is only a sampled value")
+            record.update(status="no-fold", error="every point of the branch is semi-stable, "
+                          "so lambda_star is only a sampled value")
 
         tag = f"{_family_tag(cfg.family)}_N{cfg.N}"
         summary = record["summary"] = {

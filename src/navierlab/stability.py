@@ -41,13 +41,16 @@ with the certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._lapack import dpbtrf, dpbtrs
-from .branch import BranchPoint
 from .families import NonlinearityFamily
 from .radial import minus_laplacian, volume_weights, RadialGrid
+
+if TYPE_CHECKING:
+    from .branch import BranchPoint
 
 __all__ = [
     "StabilityReport",

@@ -96,7 +96,7 @@ def test_warm_start_matches_cold(exp_branch):
 def test_branch_fold_and_monotonicity(exp_branch):
     fam, branch = exp_branch
     assert branch.fold_detected
-    lams = branch.lambdas
+    lams = np.array([pt.lam for pt in branch.points])
     k = branch.fold_index
     assert 0 < k < len(branch.points) - 1
     assert np.all(np.diff(lams[: k + 1]) > 0)  # pre-fold lambda increasing
@@ -125,8 +125,9 @@ def test_branch_below_fold_is_monotone():
     branch = continue_branch(exponential(), grid, 0.8)  # fold sits near 1.66
     assert not branch.fold_detected
     assert branch.points[-1].m == 0.8  # with no fold the march runs to m_max
-    assert np.all(np.diff(branch.lambdas) > 0)
-    assert branch.lambda_star_estimate == pytest.approx(branch.lambdas[-1])
+    lams = [pt.lam for pt in branch.points]
+    assert np.all(np.diff(lams) > 0)
+    assert branch.lambda_star_estimate == pytest.approx(lams[-1])
     empty = Branch([], grid)
     assert empty.fold_detected is False
     assert empty.lambda_star_estimate == 0.0
@@ -174,9 +175,10 @@ def test_amplitude_limit_must_be_positive_and_finite(solve, family, limit):
 
 
 def test_no_amplitude_tried_past_m_max(monkeypatch):
-    # the golden sweep's mems cell: a step that fails near touchdown is
-    # retried at the last accepted m plus the halved step, clamped to m_max,
-    # and never from the same amplitude and start as a solve that failed
+    # mems:p=2 N=8, whose fold at m = 0.955 lies close to touchdown: a step
+    # that fails there is retried at the last accepted m plus the halved
+    # step, clamped to m_max, and never from the same amplitude and start as
+    # a solve that failed
     tried = []
     starts = []
     newton = branch_module._newton
@@ -187,7 +189,7 @@ def test_no_amplitude_tried_past_m_max(monkeypatch):
         return newton(K, family, grid, m, u, lam, *args)
 
     monkeypatch.setattr(branch_module, "_newton", recording_newton)
-    continue_branch(mems(2.0), RadialGrid(4, 64), MEMS_M_MAX, SolverConfig(amplitude_step=0.1))
+    continue_branch(mems(2.0), RadialGrid(8, 64), MEMS_M_MAX, SolverConfig(amplitude_step=0.1))
     assert tried and max(tried) <= MEMS_M_MAX
     assert MEMS_M_MAX in tried  # the clamp itself was tried
     assert len(set(starts)) == len(starts)
@@ -208,12 +210,11 @@ def test_march_stops_one_sample_past_the_fold():
     assert smallest_stability_eigenvalue(fam, last).mu1 < 0.0
 
 
-@pytest.mark.xfail(strict=True, reason="a noise fold: lambda is flat to about 1e-12 near "
-                   "the critical dimension, and rounding makes it decrease between two "
-                   "samples whose slopes are both positive")
 def test_sample_past_the_reported_fold_is_unstable():
-    # exp N=12.5 on n=2048 reports a fold at index 72 (m = 27.825), yet mu1
-    # is +409.8 there and at the next sample: no semi-stable point was left
+    # near the critical dimension exp N=12.5 on n=2048 has lambda flat to
+    # about 1e-12, and rounding makes it decrease between semi-stable
+    # samples; read from lambda, that was a fold at m = 27.825 with mu1
+    # +409.8 there and at the next sample
     fam = exponential()
     branch = continue_branch(fam, RadialGrid(12.5, 2048), 60.0, SolverConfig(amplitude_step=0.1))
     assert branch.fold_detected
@@ -334,7 +335,7 @@ def test_fold_bracket_refined(exp_branch):
     # dominates every sample
     _, branch = exp_branch
     _assert_fold_solved(branch, SolverConfig().newton_tol)
-    assert branch.lambda_star_estimate == branch.lambdas.max()
+    assert branch.lambda_star_estimate == max(pt.lam for pt in branch.points)
 
 
 @pytest.mark.parametrize("m", [0.3, 1.0, 1.5])
@@ -346,24 +347,37 @@ def test_tangent_slope_matches_finite_differences(m):
     assert abs(slope - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
-def _synthetic(ms, lams, slopes, grid):
+def _synthetic(ms, lams, slopes, grid, stable):
     z = np.zeros(grid.size)
-    return [BranchPoint(m, lam, z, z, 0.0, 0, grid, s) for m, lam, s in zip(ms, lams, slopes)]
+    return [BranchPoint(m, lam, z, z, 0.0, 0, grid, s, None, ok)
+            for m, lam, s, ok in zip(ms, lams, slopes, stable)]
 
 
 def test_fold_index_is_the_first_turn():
     grid = RadialGrid(3, 16)
-    # lambda turns at m = 2, then rises past its first maximum
-    turns = Branch(_synthetic([1, 2, 3, 4, 5], [1.0, 2.0, 1.5, 3.0, 4.0], [1, 1, -1, 1, 1], grid), grid)
+    # semi-stability ends after m = 2, and lambda rises again past its first
+    # maximum on the unstable points
+    turns = Branch(_synthetic([1, 2, 3, 4, 5], [1.0, 2.0, 1.5, 3.0, 4.0], [1, 1, -1, 1, 1], grid,
+                              [True, True, False, False, False]), grid)
     assert turns.fold_index == 1 and turns.fold_detected
     assert [pt.m for pt in turns.pre_fold_points] == [1, 2]
-    # the slope turns negative at m = 2 while the next sample is still higher
-    assert Branch(_synthetic([1, 2, 3], [1.0, 2.0, 2.1], [1, -1, -1], grid), grid).fold_index == 1
-    # lambda rises to the last point, whose slope is negative: the fold lies
-    # between the last two samples, with nothing to its right
-    last = Branch(_synthetic([1, 2, 3], [1.0, 2.0, 2.5], [1, 1, -1], grid), grid)
-    assert last.fold_index == 2 and not last.fold_detected
-    assert last.lambda_star_estimate == 2.5
+    # u* at m = 2 reads not semi-stable, as its mu1 is about 0, and the
+    # sample past it is higher still: the fold is u*, the first point that
+    # is not semi-stable, as it lies above the point before it
+    flagged = Branch(_synthetic([1, 2, 3], [1.0, 2.0, 2.1], [1, -1, -1], grid,
+                                [True, False, False]), grid)
+    assert flagged.fold_index == 1 and flagged.fold_detected
+    # lambda rises to the last point, the march's sample past the fold, with
+    # no fold solved: that sample is never the fold, however high
+    last = Branch(_synthetic([1, 2, 3], [1.0, 2.0, 2.5], [1, 1, -1], grid,
+                             [True, True, False]), grid)
+    assert last.fold_index == 1 and last.fold_detected
+    assert last.lambda_star_estimate == 2.0
+    # rounding makes lambda fall between two semi-stable samples: no fold
+    noise = Branch(_synthetic([1, 2, 3, 4], [1.0, 2.0, 1.9, 3.0], [1, 1, 1, 1], grid,
+                              [True] * 4), grid)
+    assert noise.fold_index == 3 and not noise.fold_detected
+    assert noise.lambda_star_estimate == 3.0
 
 
 def _assert_fold_solved(branch, newton_tol):
@@ -385,7 +399,7 @@ def test_fold_solve_on_the_last_flank():
     config = SolverConfig(amplitude_step=0.1)
     points = [solve_at_amplitude(fam, grid, m) for m in (1.9, 2.2)]
     assert points[1].lam > points[0].lam and points[1].dlam_dm < 0.0
-    assert not Branch(points, grid).fold_detected
+    assert points[0].semi_stable and not points[1].semi_stable
     branch_module._solve_fold(minus_laplacian(grid), fam, grid, config, points)
     branch = Branch(points, grid)
     assert branch.fold_detected
@@ -425,10 +439,15 @@ def test_fold_solved_from_a_first_step_past_it():
 
 @pytest.mark.parametrize("spec, N, m_max, step", [
     # a solve from the trivial point's tangent diverges at the first peak,
-    # and the one from the far sample converges
+    # and its retry halfway to the trivial point converges
     ("power:p=2", 4, 50.0, 15.1807),
-    # u* is the first solved point, so one more solve lies halfway to it
+    # u* is the first solved point
     ("mems:p=2", 4, MEMS_M_MAX, 0.605329),
+    # the first sample lies on a later rising stretch past the first fold,
+    # where lambda turned once more: read from the slope, that later turn
+    # was the fold (443.37 against 479.56, and 19.18 against 26.91)
+    ("exp", 8, 50.0, 9.6),
+    ("mems:p=2", 4, MEMS_M_MAX, 0.9899),
 ])
 def test_first_sample_past_the_fold(spec, N, m_max, step):
     fam, grid = parse_family(spec), RadialGrid(N, 64)
@@ -440,13 +459,15 @@ def test_first_sample_past_the_fold(spec, N, m_max, step):
 
 def test_fold_solve_bisects_a_pair_it_does_not_halve():
     # the first step jumps the first fold at m = 3.58 and lands far up a
-    # steep branch past a later turn at m = 14; Hermite peaks alone crept
-    # toward that turn for all 200 solves, and bisecting whenever two solves
-    # leave the pair more than half as wide settles it in a few
+    # steep branch past a later turn at m = 14; Hermite peaks through that
+    # pair crept toward the later turn for all 200 solves, while bisection
+    # on semi-stability brackets the first turn in a few
     fam, grid = exponential(), RadialGrid(8, 64)
     branch = continue_branch(fam, grid, 50.0, SolverConfig(amplitude_step=10.828))
+    fine = continue_branch(fam, grid, 50.0)
     assert len(branch.points) < 20
     _assert_fold_solved(branch, SolverConfig().newton_tol)
+    assert branch.lambda_star_estimate == pytest.approx(fine.lambda_star_estimate, rel=1e-9)
 
 
 def test_mems_clamp_residual_budget(monkeypatch):
