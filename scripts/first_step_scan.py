@@ -1,17 +1,14 @@
 """First-step scan: does a coarse first march step still find the first fold?
 
-    PYTHONPATH=src python scripts/first_step_scan.py [--geometric]
+    PYTHONPATH=src python scripts/first_step_scan.py
 
 For exp N=3, power:p=2 N=4, mems:p=2 N=4, exp N=8 and power:p=3.5 N=5 on
-n = 64, continues the branch with 120 first steps from 0.02 to 0.99 m_max
-(evenly spaced, or geometrically with ``--geometric``), m_max 50 or the
-mems clamp, and compares each lambda* with a 0.05-step march of the same
-cell.  A run whose lambda* is off by more than 1e-6 relative found a later
-turn.  Prints each such run and each run with no fold, then the counts and
+n = 64, continues the branch with 120 evenly spaced first steps from 0.02
+to 0.99 m_max, m_max 50 or the mems clamp, and compares each lambda* with
+a 0.05-step march of the same cell.  A run whose lambda* is off by more
+than 1e-6 relative found a later turn.  Prints each such run and each run with no fold, then the counts and
 the worst relative difference among the other runs.  About 10 s on one core.
 """
-
-import argparse
 
 import numpy as np
 
@@ -24,16 +21,13 @@ LATER_TURN = 1e-6
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--geometric", action="store_true", help="space the steps geometrically")
-    spacing = np.geomspace if parser.parse_args().geometric else np.linspace
     runs = detected = later = 0
     worst = 0.0
     for spec, N in CELLS:
         family, grid = parse_family(spec), RadialGrid(N, 64)
         m_max = MEMS_M_MAX if family.singular else 50.0
         fine = continue_branch(family, grid, m_max).lambda_star_estimate
-        for step in spacing(0.02, 0.99, 120) * m_max:
+        for step in np.linspace(0.02, 0.99, 120) * m_max:
             try:
                 branch = continue_branch(family, grid, m_max, SolverConfig(amplitude_step=step))
             except ContinuationError as exc:

@@ -18,11 +18,10 @@ upward with adaptive steps until a point is not semi-stable (or m reaches
 m_max), then solves at the first fold, this grid's extremal solution u*.
 
 The minimal branch is the branch of semi-stable solutions, so one flag on
-every point decides the fold: it lies between the last semi-stable point
-and the first that is not.  A ``Branch`` derives from its points the fold,
-whether one was passed, lambda* there and ``pre_fold_points``.  lambda
-alone would not do: near a critical dimension rounding makes it fall
-between semi-stable samples, and a later turn can carry a larger lambda.
+every point decides the fold, between the last semi-stable point and the
+first that is not; a ``Branch`` derives from its points the fold, whether
+one was passed, lambda* and ``pre_fold_points``.  lambda alone would not
+do: it can fall between semi-stable samples, and later turns rise higher.
 """
 
 from __future__ import annotations
@@ -34,8 +33,7 @@ import numpy as np
 from ._lapack import dgbsv
 from .families import FamilyDomainError, NonlinearityFamily
 from .radial import RadialGrid, BandedOperator, minus_laplacian, solve_navier_biharmonic
-from .radial import volume_weights
-from .stability import _cholesky, _stability_bands
+from .stability import _semi_stable
 
 __all__ = [
     "SolverConfig",
@@ -59,7 +57,6 @@ MEMS_M_MAX = 1.0 - 1e-4
 # loosest Newton tolerance a run may ask for: the discretization error the
 # test suite measures between n = 1024 and n = 2048
 MAX_NEWTON_TOL = 1e-6
-EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -115,7 +112,9 @@ class Branch:
         up to there, as lambda rises wherever B is positive definite.  That
         is u* whichever way its own flag, rounding as mu1 is about 0, reads.
         The last point is the fold only when every point is semi-stable,
-        never as the march's sample past the fold (0 with no points)."""
+        never as the march's sample past the fold.  With no point, or no
+        semi-stable one kept, it is 0: a fold solve at u*, or the first
+        sample, past the fold, if every fold solve diverged."""
         pts = self.points
         first = next((k for k, pt in enumerate(pts) if not pt.semi_stable), len(pts))
         if 0 < first < len(pts) - 1 and pts[first].lam > pts[first - 1].lam:
@@ -193,8 +192,8 @@ def _newton(K, family, grid, m, u, lam, config) -> BranchPoint:
     The m-derivative of the system, B du/dm = f(u) dlambda/dm with
     du/dm[0] = 1, makes the last solve's B z = -f(u) the branch tangent,
     stored on the point: du/dm = z / z[0], dlambda/dm = -1 / z[0].  So is
-    whether B is semi-stable: whether its symmetric form T (``stability``)
-    has a banded Cholesky factor at the shift -2 eps ||T||_1.
+    whether B is semi-stable: dlambda/dm > 0, as wherever B is positive
+    definite, and T has a Cholesky factor (``stability._semi_stable``).
     """
     D = float(np.max(np.abs(K.diag)))
     res = _residual(K, D, family, u, lam, m)
@@ -204,11 +203,9 @@ def _newton(K, family, grid, m, u, lam, config) -> BranchPoint:
     for it in range(MAX_NEWTON + 1):
         R, R_amp, fu, rn = res
         if rn <= config.newton_tol and update_rel is not None and update_rel <= config.newton_tol:
-            z0 = float(z[0])
-            upper, t_norm = _stability_bands(K, np.sqrt(volume_weights(grid)), lam, family.fp(u))
-            stable = np.isfinite(t_norm) and _cholesky(upper, -2.0 * EPS * t_norm) is not None
-            return BranchPoint(m, float(lam), u, K.apply(u), rn, it, grid, -1.0 / z0, z / z0,
-                               bool(stable))
+            dlam_dm = -1.0 / float(z[0])
+            return BranchPoint(m, float(lam), u, K.apply(u), rn, it, grid, dlam_dm, z / z[0],
+                               dlam_dm > 0.0 and _semi_stable(K, grid, lam, family.fp(u)))
         if it == MAX_NEWTON:
             break
         # bandwidth (2, 2) in the gbsv layout (row 4 + i - j holds entry
@@ -357,21 +354,19 @@ def _solve_fold(K, family, grid, config, points) -> None:
     """Solve at the first fold: this grid's extremal solution u*.
 
     The fold lies between a, the last semi-stable point, and b, the first
-    that is not.  While their slopes do not bracket a turn (a.dlam_dm > 0 >=
-    b.dlam_dm), a solve at the midpoint replaces the end with its
-    ``semi_stable``; once they do, a solve at the ``_hermite_peak`` replaces
-    the end with its slope sign, until that peak exceeds the better end,
-    u*, by at most newton_tol relative.  Each solve starts from a, and one
-    that fails is retried halfway to a, until the amplitude leaves the pair.
+    that is not, and each solve replaces the end with its ``semi_stable``.
+    While b.dlam_dm > 0 (a's is, as on every semi-stable point) the solve is
+    at the midpoint; after, at the ``_hermite_peak``, until that peak exceeds
+    the better end, u*, by at most newton_tol relative.  Each solve starts
+    from a, and one that fails is retried halfway to a, until m leaves it.
     """
     j = next((k for k, pt in enumerate(points) if not pt.semi_stable), None)
     if j is None:
         return  # every point is semi-stable: no fold to solve
     a, b, m_new = points[j - 1], points[j], None
     for _ in range(200):
-        bracket = a.dlam_dm > 0.0 >= b.dlam_dm
         if m_new is None:
-            m_new, peak = _hermite_peak(a, b) if bracket else (0.5 * (a.m + b.m), np.inf)
+            m_new, peak = _hermite_peak(a, b) if b.dlam_dm <= 0.0 else (0.5 * (a.m + b.m), np.inf)
             best = max(a.lam, b.lam)
             if peak - best <= config.newton_tol * abs(best):
                 return
@@ -384,7 +379,7 @@ def _solve_fold(K, family, grid, config, points) -> None:
             continue
         m_new = None
         points.insert(j, pt)
-        if pt.dlam_dm > 0.0 if bracket else pt.semi_stable:
+        if pt.semi_stable:
             a, j = pt, j + 1
         else:
             b = pt

@@ -63,6 +63,7 @@ MAX_INVERSE_ITERS = 400
 # iterate change that ends inverse iteration; see _inverse_iteration
 _VEC_TOL = max(1e-8, np.sqrt(EIG_TOL) * 1e-3)
 BRACKET_GROWTH = 4.0  # ratio of successive trial-shift steps
+_EPS_MARGIN = 2.0 * np.finfo(float).eps  # rounding margin of factoring T, per ||T||_1
 
 
 @dataclass
@@ -98,12 +99,17 @@ def _stability_bands(K, s, lam, fpu):
 
 
 def _cholesky(upper, sigma):
-    """Banded Cholesky factor of T - sigma, or None when it is not positive
-    definite."""
+    """Banded Cholesky factor of T - sigma, or None if it is not positive definite."""
     shifted = upper.copy()
     shifted[2, :] -= sigma
     chol, info = dpbtrf(shifted, overwrite_ab=1)
     return chol if info == 0 else None
+
+
+def _semi_stable(K, grid, lam, fpu) -> bool:
+    """Whether T has a banded Cholesky factor at the shift -_EPS_MARGIN ||T||_1."""
+    upper, t_norm = _stability_bands(K, np.sqrt(volume_weights(grid)), lam, fpu)
+    return bool(np.isfinite(t_norm)) and _cholesky(upper, -_EPS_MARGIN * t_norm) is not None
 
 
 def _certify_shift(upper, t_norm, ceiling):
@@ -118,7 +124,7 @@ def _certify_shift(upper, t_norm, ceiling):
     relative term takes the smaller of the ceiling and the last failure, as
     a poor start vector's quotient can lie far above mu1.
     """
-    eps_margin = 2.0 * np.finfo(float).eps * t_norm
+    eps_margin = _EPS_MARGIN * t_norm
     fail, step = ceiling, max(eps_margin, 1e-6 * (1.0 + abs(ceiling)))
     sigma = fail - step
     chol = _cholesky(upper, sigma)

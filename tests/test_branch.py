@@ -222,6 +222,19 @@ def test_sample_past_the_reported_fold_is_unstable():
     assert smallest_stability_eigenvalue(fam, past).mu1 < 0.0
 
 
+def test_sample_just_past_the_fold_on_a_fine_grid():
+    # on n=4096 the semi-stability check's rounding margin 2 eps ||T||_1 is
+    # about 9.4, and the default march's samples past the fold at m = 1.93
+    # keep mu1 above -9.5 up to m = 2.006: read from the factorization
+    # alone, they were semi-stable, and lambda* came out 7e-4 low
+    fam, grid = exponential(), RadialGrid(4, 4096)
+    branch = continue_branch(fam, grid, 6.0)
+    fine = continue_branch(fam, grid, 6.0, SolverConfig(amplitude_step=0.01))
+    assert branch.fold_detected
+    assert all(pt.dlam_dm > 0.0 for pt in branch.pre_fold_points[:-1])
+    assert branch.lambda_star_estimate == pytest.approx(fine.lambda_star_estimate, rel=1e-9)
+
+
 def _upper_branch(m_stop):
     """exp N=3 on n=64 from one sample past its fold (m = 3 at step 1) up
     the unstable branch by unit steps to m_stop, each solve started from
