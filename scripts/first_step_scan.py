@@ -6,9 +6,13 @@ For exp N=3, power:p=2 N=4, mems:p=2 N=4, exp N=8 and power:p=3.5 N=5 on
 n = 64, continues the branch with 120 evenly spaced first steps from 0.02
 to 0.99 m_max, m_max 50 or the mems clamp, and compares each lambda* with
 a 0.05-step march of the same cell.  A run whose lambda* is off by more
-than 1e-6 relative found a later turn.  Prints each such run and each run with no fold, then the counts and
-the worst relative difference among the other runs.  About 10 s on one core.
+than 1e-6 relative found a later turn.  Prints each such run and each run
+with no fold, then the counts and the worst relative difference among the
+other runs, and exits 1 if any run found no fold or a later turn.  About
+10 s on one core.
 """
+
+import sys
 
 import numpy as np
 
@@ -20,7 +24,7 @@ CELLS = [("exp", 3), ("power:p=2", 4), ("mems:p=2", 4), ("exp", 8), ("power:p=3.
 LATER_TURN = 1e-6
 
 
-def main() -> None:
+def main() -> int:
     runs = detected = later = 0
     worst = 0.0
     for spec, N in CELLS:
@@ -45,7 +49,8 @@ def main() -> None:
                 worst = max(worst, rel)
     print(f"{runs} runs, {detected} detect a fold, {later} report a later turn, "
           f"the others match the 0.05-step march to {worst:.2g}")
+    return int(later > 0 or detected < runs)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -48,8 +48,7 @@ __all__ = [
 
 MAX_NEWTON = 50  # Newton steps per point
 DAMPING = 0.5  # line-search step reduction
-STEP_GROWTH = 2.0  # continuation step growth after fast convergence
-MAX_STEP_FACTOR = 4.0  # largest continuation step, in units of amplitude_step
+STEP_GROWTH = 2.0  # largest continuation step growth
 MIN_STEP_FACTOR = 1.0 / 1024.0  # smallest one before continuation gives up
 # the singular family is continued no further than this amplitude, which the
 # grid still resolves; its fold sits far below
@@ -67,7 +66,8 @@ class SolverConfig:
     row scale of the system (an absolute max-norm of 1e-10 sits below the
     1/h^2 rounding noise on fine grids) and the relative size of the last
     applied Newton update, and may be at most MAX_NEWTON_TOL.
-    ``amplitude_step`` is the initial continuation step in the amplitude m.
+    ``amplitude_step`` is the first continuation step in the amplitude m;
+    ``continue_branch`` sizes the later ones from newton_tol.
     """
 
     newton_tol: float = 1e-10
@@ -291,15 +291,17 @@ def continue_branch(
     until a point is not semi-stable, so that the first fold lies behind it,
     or up to m_max.
 
-    Every amplitude tried is min(last accepted m + step, m_max).  Steps
-    halve whenever Newton diverges, and halve again while the retry would
-    still be clamped to m_max (it would repeat the failed solve from the
-    same start); they grow after fast convergence, capped at
-    MAX_STEP_FACTOR * amplitude_step.  The singular family is continued to
-    at most MEMS_M_MAX.  The first fold, which may lie between the trivial
-    point and the first sample, is then solved (``_solve_fold``), on a
-    partial branch too: a step below MIN_STEP_FACTOR * amplitude_step raises
-    ContinuationError carrying the Branch of the solved points.
+    Every amplitude tried is min(last accepted m + step, m_max), the first
+    step amplitude_step.  An accepted point scales the step tried by
+    min(STEP_GROWTH, sqrt(newton_tol ** 0.25 / c)), c its Newton correction
+    of the Euler prediction, max|u - u_pred| / max(1, max|u|): that error
+    grows like the step squared, and two quadratic Newton steps take
+    newton_tol ** 0.25 down to newton_tol.  A divergence halves the step
+    tried, so no retry repeats a failed solve.  The singular family is
+    continued to at most MEMS_M_MAX.  The first fold, which may lie between
+    the trivial point and the first sample, is then solved (``_solve_fold``),
+    on a partial branch too: a step below MIN_STEP_FACTOR * amplitude_step
+    raises ContinuationError carrying the Branch of the solved points.
     """
     config = config or SolverConfig()
     if not 0.0 < m_max < np.inf:
@@ -307,31 +309,28 @@ def continue_branch(
     if family.singular and m_max > MEMS_M_MAX:
         raise ValueError(f"m_max {m_max:g} exceeds the mems limit {MEMS_M_MAX:g}")
     K = minus_laplacian(grid)
-    step0 = config.amplitude_step
-    step_cap = MAX_STEP_FACTOR * step0
-    step_floor = MIN_STEP_FACTOR * step0
+    step_floor = MIN_STEP_FACTOR * config.amplitude_step
+    target = config.newton_tol ** 0.25  # the Euler error two Newton steps correct
     points = [trivial_point(grid)]
-    step = min(step0, m_max)
+    step = config.amplitude_step
     failure = ""
     while not failure and points[-1].semi_stable:
         m_last = points[-1].m  # the last accepted amplitude
-        m_target = min(m_last + step, m_max)  # first try, retry and next step
+        m_target = min(m_last + step, m_max)
         if m_target <= m_last:
             break
+        u, lam = _predict(points[-1], m_target)
         try:
-            pt = _newton(K, family, grid, m_target, *_predict(points[-1], m_target), config)
+            pt = _newton(K, family, grid, m_target, u, lam, config)
         except NewtonDivergedError as exc:
-            # halve until the retry moves off a clamped m_max: the solve
-            # there would start from the same guess and fail the same way
-            step *= 0.5
-            while step >= step_floor and m_last + step >= m_max:
-                step *= 0.5
+            step = 0.5 * (m_target - m_last)
             if step < step_floor:
                 failure = f"step fell below {step_floor:g} near m={m_target:g}: {exc}"
             continue
         points.append(pt)
-        if pt.newton_iters <= 4:
-            step = min(step * STEP_GROWTH, step_cap)
+        c = float(np.max(np.abs(pt.u - u))) / max(1.0, float(np.max(np.abs(pt.u))))
+        # min(STEP_GROWTH, sqrt(target / c)), also at c = 0
+        step = (m_target - m_last) * (target / max(c, target / STEP_GROWTH**2)) ** 0.5
     _solve_fold(K, family, grid, config, points)
     branch = Branch(points[1:], grid)
     if failure:
@@ -357,8 +356,10 @@ def _solve_fold(K, family, grid, config, points) -> None:
     that is not, and each solve replaces the end with its ``semi_stable``.
     While b.dlam_dm > 0 (a's is, as on every semi-stable point) the solve is
     at the midpoint; after, at the ``_hermite_peak``, until that peak exceeds
-    the better end, u*, by at most newton_tol relative.  Each solve starts
-    from a, and one that fails is retried halfway to a, until m leaves it.
+    the better end, u*, by at most newton_tol relative, unless that end is
+    the march's last point, which is never the fold, above a by more than
+    newton_tol.  Each solve starts from a, and one that fails is retried
+    halfway to a, until m leaves it.
     """
     j = next((k for k, pt in enumerate(points) if not pt.semi_stable), None)
     if j is None:
@@ -367,8 +368,9 @@ def _solve_fold(K, family, grid, config, points) -> None:
     for _ in range(200):
         if m_new is None:
             m_new, peak = _hermite_peak(a, b) if b.dlam_dm <= 0.0 else (0.5 * (a.m + b.m), np.inf)
-            best = max(a.lam, b.lam)
-            if peak - best <= config.newton_tol * abs(best):
+            best, tol = max(a.lam, b.lam), config.newton_tol
+            last_best = b is points[-1] and b.lam - a.lam > tol * abs(a.lam)
+            if peak - best <= tol * abs(best) and not last_best:
                 return
         if not a.m < m_new < b.m:
             return

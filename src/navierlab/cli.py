@@ -385,7 +385,7 @@ def _run_cell(cell: _Cell, command: str) -> dict:
 
 def _fork_map(run, items: list, workers: int) -> list:
     """``[run(item) for item in items]``, computed by this process and
-    ``workers - 1`` children forked from it.
+    ``workers - 1`` children forked from it (none with one worker).
 
     Each process claims the next item from one pipe that holds a single
     8-byte value, the index of the next unclaimed item: it reads the value
@@ -518,10 +518,7 @@ def cmd_run(args) -> int:
     # this process and workers - 1 forked children share the cells; more of
     # them than cores would only take turns on them
     workers = min(cfg.jobs, len(cells), os.cpu_count() or 1) if hasattr(os, "fork") else 1
-    if workers > 1:
-        records = _fork_map(run, cells, workers)
-    else:
-        records = [run(cell) for cell in cells]
+    records = _fork_map(run, cells, workers)
     records.sort(key=lambda c: (c["family"], c["N"]))
     text = _csv_text(",".join(_SWEEP_COLUMNS), ([c[k] for k in _SWEEP_COLUMNS] for c in records))
     _write_atomic(os.path.join(cfg.out, "sweep.csv"), text)

@@ -175,10 +175,10 @@ def test_amplitude_limit_must_be_positive_and_finite(solve, family, limit):
 
 
 def test_no_amplitude_tried_past_m_max(monkeypatch):
-    # mems:p=2 N=8, whose fold at m = 0.955 lies close to touchdown: a step
-    # that fails there is retried at the last accepted m plus the halved
-    # step, clamped to m_max, and never from the same amplitude and start as
-    # a solve that failed
+    # mems:p=2 N=8, whose fold at m = 0.955 lies close to touchdown: the
+    # first step is clamped to m_max and fails there, the retry takes half
+    # the step tried, and no solve repeats the amplitude and start of one
+    # that failed
     tried = []
     starts = []
     newton = branch_module._newton
@@ -189,7 +189,7 @@ def test_no_amplitude_tried_past_m_max(monkeypatch):
         return newton(K, family, grid, m, u, lam, *args)
 
     monkeypatch.setattr(branch_module, "_newton", recording_newton)
-    continue_branch(mems(2.0), RadialGrid(8, 64), MEMS_M_MAX, SolverConfig(amplitude_step=0.1))
+    continue_branch(mems(2.0), RadialGrid(8, 64), MEMS_M_MAX, SolverConfig(amplitude_step=1.0))
     assert tried and max(tried) <= MEMS_M_MAX
     assert MEMS_M_MAX in tried  # the clamp itself was tried
     assert len(set(starts)) == len(starts)
@@ -236,11 +236,12 @@ def test_sample_just_past_the_fold_on_a_fine_grid():
 
 
 def _upper_branch(m_stop):
-    """exp N=3 on n=64 from one sample past its fold (m = 3 at step 1) up
-    the unstable branch by unit steps to m_stop, each solve started from
-    the point before."""
+    """exp N=3 on n=64 from m = 3, solved from the march's sample past its
+    fold, up the unstable branch by unit steps to m_stop, each solve
+    started from the point before."""
     fam, grid = exponential(), RadialGrid(3, 64)
-    points = continue_branch(fam, grid, m_stop, SolverConfig(amplitude_step=1.0)).points[-1:]
+    past = continue_branch(fam, grid, m_stop, SolverConfig(amplitude_step=1.0)).points[-1]
+    points = [solve_at_amplitude(fam, grid, 3.0, guess=past)]
     while points[-1].m < m_stop:
         m = points[-1].m + 1.0
         points.append(solve_at_amplitude(fam, grid, m, guess=points[-1]))
@@ -481,6 +482,36 @@ def test_fold_solve_bisects_a_pair_it_does_not_halve():
     assert len(branch.points) < 20
     _assert_fold_solved(branch, SolverConfig().newton_tol)
     assert branch.lambda_star_estimate == pytest.approx(fine.lambda_star_estimate, rel=1e-9)
+
+
+@pytest.mark.parametrize("spec, N, n, m_max, step", [
+    ("exp", 3, 2048, 12.0, 0.0534331),
+    ("exp", 3, 64, 12.0, 0.5520691),
+    ("mems:p=3", 11, 512, MEMS_M_MAX, 0.05),
+])
+def test_last_sample_within_tol_of_the_peak(spec, N, n, m_max, step):
+    # the march's first sample that is not semi-stable can land within
+    # newton_tol of the Hermite peak: it is this grid's u*, but the last
+    # point is never the fold, and taking the sample before it put lambda*
+    # 9.7e-3 (exp n=2048), 36% (exp n=64) and 1.2e-7 (mems) low
+    fam, grid = parse_family(spec), RadialGrid(N, n)
+    branch = continue_branch(fam, grid, m_max, SolverConfig(amplitude_step=step))
+    small = continue_branch(fam, grid, m_max, SolverConfig(amplitude_step=0.01))
+    assert branch.fold_detected and not branch.points[-1].semi_stable
+    assert branch.lambda_star_estimate == max(pt.lam for pt in branch.points)
+    assert branch.lambda_star_estimate == pytest.approx(small.lambda_star_estimate, rel=1e-9)
+
+
+@pytest.mark.parametrize("spec, N, n, m_max, budget", [
+    ("exp", 13, 4096, 60.0, 60),
+    ("power:p=5", 16, 1024, 300.0, 100),
+])
+def test_far_cell_point_budget(spec, N, n, m_max, budget):
+    # near a critical dimension lambda is flat and Euler's prediction
+    # nearly exact, so the steps grow: a cap of 4 amplitude steps took 156
+    # and 1,502 points
+    branch = continue_branch(parse_family(spec), RadialGrid(N, n), m_max)
+    assert len(branch.points) <= budget
 
 
 def test_mems_clamp_residual_budget(monkeypatch):

@@ -390,17 +390,20 @@ def test_run_without_fold_is_inconclusive(command, artifact, tmp_path, capsys):
                                                ("verify", "verify_exp_N3.json")])
 def test_partial_branch_is_kept_and_flagged(command, artifact, tmp_path, capsys, monkeypatch):
     # no input is known to fail before the fold, so Newton is made to
-    # diverge above m = 1.1, the fourth march sample of the full run below;
+    # diverge above the fourth march sample of the full run below;
     # continuation halves its step below the floor, and the points solved
     # up to there are kept
     argv = [command, "--family", "exp", "--N", "3", "--n", "64", "--m-max", "12",
             "--amplitude-step", "0.1"]
     full = str(tmp_path / "full")
     assert main([*argv, "--out", full]) == 0
+    rows = {"branch": "branch_exp_N3.csv", "verify": "estimates_exp_N3.csv"}[command]
+    fourth = sorted({float(row["m"]) for row in csv.DictReader(
+        read(os.path.join(full, rows)).splitlines())})[3]
     newton = branch_module._newton
 
     def diverging_newton(K, family, grid, m, *args):
-        if m > 1.1:
+        if m > fourth:
             raise NewtonDivergedError(f"diverged at m={m:g}")
         return newton(K, family, grid, m, *args)
 
@@ -410,7 +413,6 @@ def test_partial_branch_is_kept_and_flagged(command, artifact, tmp_path, capsys,
     assert code == 4
     summary = json.loads(read(os.path.join(out, artifact)))
     assert summary["status"] == "partial"
-    rows = {"branch": "branch_exp_N3.csv", "verify": "estimates_exp_N3.csv"}[command]
     kept = read(os.path.join(out, rows))
     assert kept.count("\n") > 2  # the header and more than one row
     assert read(os.path.join(full, rows)).startswith(kept)
@@ -579,7 +581,7 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
     assert results[0][0] == 3 and len(results[0][3]) == 4
 
 
-@pytest.mark.parametrize("cores, jobs, pool", [(2, 1000, [2]), (None, 1000, []), (8, 3, [3])])
+@pytest.mark.parametrize("cores, jobs, pool", [(2, 1000, [2]), (None, 1000, [1]), (8, 3, [3])])
 def test_sweep_pool_is_capped_at_the_cores(cores, jobs, pool, tmp_path, capsys, monkeypatch):
     # more workers than cores would only take turns on them (one worker
     # when the count is unknown)
@@ -596,7 +598,12 @@ def test_sweep_without_fork_runs_serially(tmp_path, capsys, monkeypatch):
     code, _ = run(capsys, "sweep", "--families", "exp,power:p=2", "--dims", "3..4", *FOLDED,
                   "--jobs", "2", "--out", str(tmp_path / "s"))
     assert code == 0
-    assert sizes == []
+    assert sizes == [1]
+
+
+def test_fork_map_with_one_worker_forks_nothing(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert cli._fork_map(lambda item: 2 * item, [1, 2, 3], 1) == [2, 4, 6]
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
