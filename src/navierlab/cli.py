@@ -23,6 +23,7 @@ failure (a partial branch is kept and flagged).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -126,6 +127,9 @@ def _write_atomic(path: str, text: str) -> None:
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)  # mkstemp's 0600 becomes what open() would give
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
@@ -516,8 +520,11 @@ def cmd_run(args) -> int:
     # every cell runs both; loaded here, the forked workers inherit them
     from . import bootstrap, estimates  # noqa: F401
     # this process and workers - 1 forked children share the cells; more of
-    # them than cores would only take turns on them
-    workers = min(cfg.jobs, len(cells), os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    # them than the CPUs it may run on (the host's count where os reads no
+    # affinity mask, one when that is unknown) would only take turns on them
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(cfg.jobs, len(cells), cpus) if hasattr(os, "fork") else 1
     records = _fork_map(run, cells, workers)
     records.sort(key=lambda c: (c["family"], c["N"]))
     text = _csv_text(",".join(_SWEEP_COLUMNS), ([c[k] for k in _SWEEP_COLUMNS] for c in records))
@@ -574,17 +581,48 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _silence_stdout() -> None:
+    """Point fd 1 at ``os.devnull`` if stdout cannot be flushed, so that the
+    flush at exit, which would meet the same full or closed output, writes
+    its text there without a word (the recipe of Python's "Note on
+    SIGPIPE")."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
+    """Run one command and return its exit code, from the failure table.
+
+    ``argv=None`` is the program path (the console script and ``python -m
+    navierlab.cli``): it reads ``sys.argv`` and first freezes the garbage
+    collector's heap, so that the modules loaded so far, numpy's among them,
+    are never traversed again: not by the collections of the run, nor in a
+    forked sweep worker, nor at interpreter exit.  Called with a list, as
+    from the library or the tests, ``main`` leaves ``gc`` alone.  Standard
+    output is flushed before ``main`` returns, so a full or closed one ends
+    with exit 2 and one ``error:`` line.
+    """
+    if argv is None:
+        gc.freeze()
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if hasattr(args, "config"):  # the flags override the file
-            args = argparse.Namespace(**(_config_values(parser, args.config, args.command)
-                                         | vars(args)))
-        return args.func(args)
-    except SystemExit:  # the parser exits only after printing --help
-        return EXIT_OK
+        try:
+            args = parser.parse_args(argv)
+            if hasattr(args, "config"):  # the flags override the file
+                args = argparse.Namespace(**(_config_values(parser, args.config, args.command)
+                                             | vars(args)))
+            code = args.func(args)
+        except SystemExit:  # the parser exits only after printing --help
+            code = EXIT_OK
+        sys.stdout.flush()  # a full or closed stdout fails here, not at exit
+        return code
     except _FAILURE_TYPES as exc:
+        if isinstance(exc, OSError):  # perhaps stdout's own
+            _silence_stdout()
         return _fail(_status(exc), str(exc))
 
 

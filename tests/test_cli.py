@@ -3,10 +3,15 @@ configuration precedence, determinism."""
 
 import contextlib
 import csv
+import errno
+import gc
 import json
 import math
 import os
 import signal
+import stat
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -18,6 +23,7 @@ from navierlab import branch as branch_module
 from navierlab import cli, radial
 from navierlab.branch import NewtonDivergedError
 from navierlab.cli import main
+from test_families import src_env
 
 
 def run(capsys, *argv):
@@ -31,10 +37,11 @@ def read(path, mode="r"):
         return handle.read()
 
 
-def inline_pool(monkeypatch, cores):
-    """Stand in for the sweep's forked workers and the core count.  The list
-    returned receives each fork_map's worker count; its items run in this
-    process."""
+def inline_pool(monkeypatch, cores, affinity=None):
+    """Stand in for the sweep's forked workers and the CPU counts: the host
+    has ``cores`` CPUs, and this process may use the first ``affinity`` of
+    them (``os`` reads no affinity when it is None).  The list returned
+    receives each fork_map's worker count; its items run in this process."""
     sizes = []
 
     def inline_fork_map(run, items, workers):
@@ -43,6 +50,11 @@ def inline_pool(monkeypatch, cores):
 
     monkeypatch.setattr(cli, "_fork_map", inline_fork_map)
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
+                            raising=False)
     return sizes
 
 
@@ -123,6 +135,75 @@ def test_parse_errors_go_through_the_failure_table(case, tmp_path, capsys):
 def test_help_exits_zero(argv, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out.startswith("usage: navierlab")
+
+
+# ---------------------------------------------------------------------------
+# the program path and its standard output
+# ---------------------------------------------------------------------------
+
+# what the console script runs
+PROGRAM = [sys.executable, "-c", "import sys; from navierlab.cli import main; sys.exit(main())"]
+
+
+def test_program_path_freezes_the_loaded_heap():
+    code = ("import gc, sys; from navierlab.cli import main; code = main(); "
+            "print(code, gc.get_freeze_count() > 0)")
+    result = subprocess.run([sys.executable, "-c", code, "predict", "--family", "exp", "--N", "8"],
+                            env=src_env(), capture_output=True, text=True, check=True,
+                            timeout=120)
+    assert result.stdout.splitlines()[-1] == "0 True"
+
+
+def test_library_call_leaves_the_collector_alone(capsys):
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert main(["predict", "--family", "exp", "--N", "8"]) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+UNWRITTEN = {"predict": ["predict", "--family", "exp", "--N", "8"],
+             "branch": ["branch", "--family", "exp", "--N", "3", "--n", "64", "--m-max", "4"]}
+
+
+def run_into(stdout, argv, tmp_path):
+    """The program's exit code and stderr lines, its stdout block-buffered as
+    it is by default."""
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    result = subprocess.run([*PROGRAM, *argv, "--out", str(tmp_path / "out")], stdout=stdout,
+                            stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    return result.returncode, result.stderr.splitlines()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", sorted(UNWRITTEN))
+def test_full_stdout_is_one_error(command, tmp_path):
+    with open("/dev/full", "w") as full:
+        found = run_into(full, UNWRITTEN[command], tmp_path)
+    assert found == (2, [f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"])
+
+
+@pytest.mark.parametrize("command", sorted(UNWRITTEN))
+def test_closed_stdout_pipe_is_one_error(command, tmp_path):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the child writes
+    try:
+        found = run_into(write_end, UNWRITTEN[command], tmp_path)
+    finally:
+        os.close(write_end)
+    assert found == (2, [f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"])
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_artifacts_take_the_umask_mode(umask, mode, tmp_path, capsys):
+    out = tmp_path / "verdict.json"
+    old = os.umask(umask)
+    try:
+        code, _ = run(capsys, "predict", "--family", "exp", "--N", "8", "--out", str(out))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(os.stat(out).st_mode) == mode
+    assert os.listdir(tmp_path) == ["verdict.json"]  # no temporary file left
 
 
 # ---------------------------------------------------------------------------
@@ -584,12 +665,22 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
 @pytest.mark.parametrize("cores, jobs, pool", [(2, 1000, [2]), (None, 1000, [1]), (8, 3, [3])])
 def test_sweep_pool_is_capped_at_the_cores(cores, jobs, pool, tmp_path, capsys, monkeypatch):
     # more workers than cores would only take turns on them (one worker
-    # when the count is unknown)
+    # when the count is unknown); here os reads no affinity mask
     sizes = inline_pool(monkeypatch, cores)
     code, _ = run(capsys, "sweep", "--families", "exp,power:p=2", "--dims", "3..4", *FOLDED,
                   "--jobs", str(jobs), "--out", str(tmp_path / "s"))
     assert code == 0
     assert sizes == pool
+
+
+@pytest.mark.parametrize("affinity", [1, 2])
+def test_sweep_pool_is_capped_at_the_usable_cpus(affinity, tmp_path, capsys, monkeypatch):
+    # an affinity mask (taskset -c 0) caps the workers below the host's cores
+    sizes = inline_pool(monkeypatch, 8, affinity)
+    code, _ = run(capsys, "sweep", "--families", "exp,power:p=2", "--dims", "3..4", *FOLDED,
+                  "--jobs", "1000", "--out", str(tmp_path / "s"))
+    assert code == 0
+    assert sizes == [affinity]
 
 
 def test_sweep_without_fork_runs_serially(tmp_path, capsys, monkeypatch):

@@ -326,10 +326,11 @@ def test_import_leaves_scipy_integrate_unloaded():
 
 
 def test_forked_sweep_loads_no_process_pool(tmp_path):
-    # two cores, whatever this host has, so that the sweep forks a worker.
-    # Every cell runs the bootstrap predictor and the estimates, so both are
-    # loaded once, before the fork, for the workers to inherit.
-    code = ("import os, sys; os.cpu_count = lambda: 2; from navierlab import cli; "
+    # two usable CPUs, whatever this host has, so that the sweep forks a
+    # worker.  Every cell runs the bootstrap predictor and the estimates, so
+    # both are loaded once, before the fork, for the workers to inherit.
+    code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+            "os.cpu_count = lambda: 2; from navierlab import cli; "
             "fork_map, loaded = cli._fork_map, []; "
             "cli._fork_map = lambda *args: loaded.append(sorted(m for m in sys.modules "
             "if m in ('navierlab.bootstrap', 'navierlab.estimates'))) or fork_map(*args); "

@@ -13,10 +13,13 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
 from navierlab.cli import main
+from test_families import src_env
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
 RUNS = {
@@ -101,3 +104,28 @@ def test_golden_artifacts(run, tmp_path):
     for name in _files(golden):
         compare = _compare_json if name.endswith(".json") else _compare_csv
         compare(os.path.join(out, name), os.path.join(golden, name))
+
+
+@pytest.mark.parametrize("run, jobs", [("branch", []), ("sweep", ["--jobs", "2"])])
+def test_program_path_writes_the_in_process_bytes(run, jobs, tmp_path, monkeypatch, capsys):
+    # the console script's path (which freezes the collector's heap) and a
+    # library call, each from its own directory into a relative --out
+    argv = [*RUNS[run], *jobs, "--out", run]
+    for side in ("program", "library"):
+        (tmp_path / side).mkdir()
+    program = subprocess.run(
+        [sys.executable, "-c", "import sys; from navierlab.cli import main; sys.exit(main())",
+         *argv], cwd=tmp_path / "program", env=src_env(), capture_output=True, text=True,
+        timeout=120)
+    monkeypatch.chdir(tmp_path / "library")
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (program.returncode, program.stdout, program.stderr) == (code, captured.out,
+                                                                    captured.err)
+    assert code == 0
+    found = {}
+    for side in ("program", "library"):
+        root = tmp_path / side / run
+        found[side] = {name: (root / name).read_bytes() for name in _files(root)}
+    assert found["program"] == found["library"]
+    assert sorted(found["program"]) == _files(os.path.join(GOLDEN, run))
