@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._lapack import dgbsv
+from .errors import ContinuationError
 from .families import FamilyDomainError, NonlinearityFamily
 from .radial import RadialGrid, BandedOperator, minus_laplacian, solve_navier_biharmonic
 from .stability import _semi_stable
@@ -140,14 +141,6 @@ class Branch:
 
 class NewtonDivergedError(RuntimeError):
     """Newton failed to reduce the residual."""
-
-
-class ContinuationError(RuntimeError):
-    """Continuation aborted; carries the partial branch solved so far."""
-
-    def __init__(self, message: str, partial: Branch | None = None):
-        super().__init__(message)
-        self.partial = partial
 
 
 def _residual(K: BandedOperator, D, family, u, lam, m):

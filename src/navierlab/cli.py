@@ -32,15 +32,19 @@ import sys
 import tempfile
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-# bootstrap and estimates are imported by the commands that use them, so a
-# branch run never loads them
-from .branch import MEMS_M_MAX, Branch, ContinuationError, SolverConfig, continue_branch
+# every compute module is imported by the commands that run it, so predict
+# and bootstrap load no LAPACK and a branch run loads neither bootstrap nor
+# estimates
+from .errors import ContinuationError, EigenIterationError
 from .families import FamilyDomainError, NonlinearityFamily, parse_family
-from .radial import RadialGrid, field_rows
-from .stability import EigenIterationError, smallest_stability_eigenvalue
+
+if TYPE_CHECKING:
+    from .branch import Branch, SolverConfig
+    from .radial import RadialGrid
 
 __all__ = ["main"]
 
@@ -55,9 +59,9 @@ MAX_CONTINUATION_STEPS = 10_000
 # from about 2**15-2**16 of them (verify never computes it): the stability
 # certificate's margin 2 eps ||T||_1 grows like n^4 and outgrows the gap
 # mu2 - mu1 (about 1,461 for exp N=3 near the trivial solution; the margin
-# is 0.38 at n = 2,048 and 24,790 at 32,768), so inverse iteration takes 3,
-# 24 and 229 solves at n = 2,048, 16,384 and 32,768 and exp N=3 with m_max
-# 0.1 ends in a compute failure at 2**16
+# is 0.38 at n = 2,048 and 24,790 at 32,768), so inverse iteration takes 4,
+# 23 and 211 solves at n = 2,048, 16,384 and 32,768 (exp N=3 at the trivial
+# point) and exp N=3 with m_max 0.1 ends in a compute failure at 2**16
 MAX_GRID_NODES = 2**20
 
 
@@ -247,6 +251,8 @@ class _Cell:
 
 
 def _grid(N: int, n: int) -> RadialGrid:
+    from .radial import RadialGrid
+
     if n > MAX_GRID_NODES:  # checked before the grid's arrays are allocated
         raise ValueError(f"n = {n} exceeds the limit of {MAX_GRID_NODES} grid nodes")
     return RadialGrid(N, n)
@@ -254,6 +260,8 @@ def _grid(N: int, n: int) -> RadialGrid:
 
 def _validate(cfg: RunConfig) -> _Cell:
     """Fail fast on bad values before any compute starts."""
+    from .branch import MEMS_M_MAX, SolverConfig
+
     family = parse_family(cfg.family)
     grid = _grid(cfg.N, cfg.n)
     solver = SolverConfig(newton_tol=cfg.tol, amplitude_step=cfg.amplitude_step)
@@ -284,6 +292,8 @@ _SWEEP_COLUMNS = ("family", "N", "status", "lambda_star", "fold_detected", "verd
 
 
 def _mu1_column(family, branch: Branch) -> list[float]:
+    from .stability import smallest_stability_eigenvalue
+
     column = []
     report = None  # each report's eigenfunction starts the next point
     for pt in branch.points:
@@ -314,6 +324,9 @@ def _run_cell(cell: _Cell, command: str) -> dict:
     artifacts.  Returns the cell's record.  A failure ends the cell with the
     status the failure table gives it.
     """
+    from .branch import continue_branch
+    from .radial import field_rows
+
     cfg, family = cell.cfg, cell.family
     record = {"family": cfg.family, "N": cfg.N, "status": "ok", "error": "",
               "lambda_star": math.nan, "fold_detected": False, "estimates_ok": False}

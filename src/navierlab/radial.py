@@ -24,8 +24,9 @@ odd), fourth-order for smooth integrands.  The test suite's symbolic
 oracle applies ``minus_laplacian`` itself twice to r^s and -4 log r.
 
 Solves against -Delta_h call LAPACK ``dgtsv`` (from ``navierlab._lapack``)
-on the three diagonals directly.  ``minus_laplacian`` and ``volume_weights``
-are built once per grid and shared, read-only, with every later caller.
+on the three diagonals directly.  ``minus_laplacian``, ``volume_weights``
+and the quadrature weights of ``integrate_radial`` are built once per grid
+and shared, read-only, with every later caller.
 """
 
 from __future__ import annotations
@@ -212,6 +213,15 @@ def _simpson_weights(npts: int, h: float) -> np.ndarray:
     return w
 
 
+@lru_cache(maxsize=8)
+def _quadrature_weights(grid: RadialGrid) -> np.ndarray:
+    """omega_{N-1} r^(N-1) times the Simpson weights on the active nodes and
+    the boundary node r = 1, last; built once per grid, read-only."""
+    full_r = np.append(grid.r, 1.0)
+    w = _simpson_weights(len(full_r), grid.h)
+    return _read_only(unit_sphere_area(grid.dim_N) * w * full_r ** (grid.dim_N - 1))
+
+
 def integrate_radial(values: np.ndarray, grid: RadialGrid, outer: float = 0.0) -> float:
     """Integral over the ball of a radial integrand given on active nodes.
 
@@ -223,12 +233,8 @@ def integrate_radial(values: np.ndarray, grid: RadialGrid, outer: float = 0.0) -
     x = np.asarray(values, dtype=float)
     if len(x) != grid.size:
         raise ValueError("field length does not match grid")
-    full_vals = np.concatenate([x, [outer]])
-    full_r = np.concatenate([grid.r, [1.0]])
-    w = _simpson_weights(len(full_r), grid.h)
-    return unit_sphere_area(grid.dim_N) * float(
-        np.sum(w * full_vals * full_r ** (grid.dim_N - 1))
-    )
+    w = _quadrature_weights(grid)
+    return float(w[:-1] @ x) + float(w[-1]) * outer
 
 
 def radial_gradient(values: np.ndarray, grid: RadialGrid) -> np.ndarray:

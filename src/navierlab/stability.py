@@ -14,18 +14,21 @@ Delta psi at the boundary node.  B is also the branch Newton Jacobian, and
 both start from the one shared ``K.square_bands``.  The symmetric
 similarity transform T = W^(1/2) B W^(-1/2) is pentadiagonal.
 
-Every point takes the same path: a shift sigma is certified just left of
-the leftmost eigenvalue mu1, then shifted inverse power iteration runs on
-the banded Cholesky factor of T - sigma (LAPACK ``dpbtrf``/``dpbtrs``
-from ``navierlab._lapack``).  A factorization succeeds exactly when
-sigma < mu1 (to about eps ||T||).  The W-Rayleigh quotient of the
-start vector, the previous point's eigenfunction along a branch and a
-positive bump otherwise, bounds mu1 from above and is the ceiling.  Trial
-shifts step left of the ceiling, each step BRACKET_GROWTH times the last,
-until a factorization succeeds; bisection then narrows the bracket
-between that success and the failure to its right to one margin.  The
-factor at the final success does every solve, so a point costs a few O(n)
-factorizations and solves.
+Every point takes the same path: a shift sigma is certified within one
+margin below the leftmost eigenvalue mu1, then shifted inverse power
+iteration runs on the banded Cholesky factor of T - sigma (LAPACK
+``dpbtrf``/``dpbtrs`` from ``navierlab._lapack``).  A factorization
+succeeds exactly when sigma < mu1 (to about eps ||T||).  The search starts
+from a vector x: the previous point's eigenfunction along a branch, the
+hinged plate's response K^-2 1 to a uniform load otherwise.  Its
+W-Rayleigh quotient rho bounds mu1 from above, and some eigenvalue lies
+within its residual ||B x - rho x||_W of rho (Krylov-Weinstein), so the
+first trial, rho less that residual, succeeds whenever x is nearest the
+ground mode.  One inverse step with that factor gives another quotient
+rho1 >= mu1, and a success one margin below rho1 closes the bracket.  Only
+after a failed trial do the shifts step left, each step BRACKET_GROWTH
+times the last, and bisect.  The factor at the final success does every
+later solve, so most points cost two O(n) factorizations and a few solves.
 
 The Rayleigh quotients are evaluated in the W inner product as
 ||K psi||_W^2 - lambda <f'(u) psi, psi>_W, and precision always comes from
@@ -46,8 +49,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._lapack import dpbtrf, dpbtrs
+from .errors import EigenIterationError
 from .families import NonlinearityFamily
-from .radial import minus_laplacian, volume_weights, RadialGrid
+from .radial import minus_laplacian, solve_navier_biharmonic, volume_weights, RadialGrid
 
 if TYPE_CHECKING:
     from .branch import BranchPoint
@@ -73,13 +77,10 @@ class StabilityReport:
     iterations: int
 
 
-class EigenIterationError(RuntimeError):
-    """Inverse iteration failed to stabilize within the step limit."""
-
-
 def _start_vector(grid: RadialGrid) -> np.ndarray:
-    """Positive bump vanishing at r = 1; good ground-state overlap."""
-    return np.cos(0.5 * np.pi * grid.r)
+    """The hinged plate's response K^-2 1 to a uniform load: positive,
+    vanishing at r = 1 and close to the ground mode of K^2."""
+    return solve_navier_biharmonic(grid, np.ones(grid.size))[0]
 
 
 def _stability_bands(K, s, lam, fpu):
@@ -112,20 +113,30 @@ def _semi_stable(K, grid, lam, fpu) -> bool:
     return bool(np.isfinite(t_norm)) and _cholesky(upper, -_EPS_MARGIN * t_norm) is not None
 
 
-def _certify_shift(upper, t_norm, ceiling):
-    """Banded Cholesky factor of T - sigma at a shift sigma below mu1.
+def _certify_shift(upper, t_norm, ceiling, residual, inverse_step):
+    """Banded Cholesky factor of T - sigma at a shift sigma within one margin below mu1.
 
-    ``ceiling`` bounds mu1 from above.  The trials step left of it until a
-    factorization succeeds, each step BRACKET_GROWTH times the last; below
-    -||T||_1 the shifted matrix is diagonally dominant, so a failure there
-    raises EigenIterationError.  Bisection then narrows the bracket to one
-    margin, which is at least 2 eps ||T||_1 so that every midpoint lies
-    strictly inside, and the factor at the last success is returned.  Its
-    relative term takes the smaller of the ceiling and the last failure, as
-    a poor start vector's quotient can lie far above mu1.
+    ``ceiling`` is the W-Rayleigh quotient of the start vector and
+    ``residual`` the W-norm of its residual, so some eigenvalue lies within
+    ``residual`` of the ceiling (Krylov-Weinstein).  The first trial steps
+    left of the ceiling by the residual, or by 1e-6 (1 + |ceiling|) if that
+    is larger, so it succeeds whenever that eigenvalue is mu1.  Each step
+    after a failure is BRACKET_GROWTH times the last; below -||T||_1 the
+    shifted matrix is diagonally dominant, so a failure there raises
+    EigenIterationError.
+
+    ``inverse_step(chol)`` takes one inverse step with the first successful
+    factor and returns the Rayleigh quotient of its result, another upper
+    bound of mu1.  The next trial sits one margin below the lower of that
+    quotient and the last failure, so its success closes the bracket;
+    otherwise bisection narrows it to one margin, and the factor at the last
+    success is returned.  The margin is at least 2 eps ||T||_1, so that every
+    trial lies strictly inside the bracket; its relative term takes the
+    smaller of the ceiling and the last failure, as a poor start vector's
+    quotient can lie far above mu1.
     """
     eps_margin = _EPS_MARGIN * t_norm
-    fail, step = ceiling, max(eps_margin, 1e-6 * (1.0 + abs(ceiling)))
+    fail, step = ceiling, max(eps_margin, 1e-6 * (1.0 + abs(ceiling)), residual)
     sigma = fail - step
     chol = _cholesky(upper, sigma)
     while chol is None:
@@ -136,6 +147,12 @@ def _certify_shift(upper, t_norm, ceiling):
         sigma = fail - step
         chol = _cholesky(upper, sigma)
     margin = max(eps_margin, 1e-6 * (1.0 + min(abs(ceiling), abs(fail))))
+    fail = min(fail, inverse_step(chol))
+    if fail - sigma > margin:
+        cut = _cholesky(upper, fail - margin)
+        if cut is not None:
+            return cut
+        fail -= margin
     while fail - sigma > margin:
         mid = 0.5 * (sigma + fail)
         mid_chol = _cholesky(upper, mid)
@@ -179,12 +196,13 @@ def smallest_stability_eigenvalue(
     """Smallest eigenvalue of K^2 - lambda f'(u) in the weighted inner product.
 
     ``previous``, the report of a neighbouring point on the same grid,
-    lends its eigenfunction as the start vector, whose Rayleigh quotient is
-    the ceiling of the shift certificate.  The returned eigenfunction is
-    W-normalized and its Rayleigh quotient reproduces mu1 to the solver
-    tolerance.  Raises EigenIterationError if the operator is not finite, no
-    shift is certified or the quotient has not stabilized after
-    MAX_INVERSE_ITERS solves.
+    lends its eigenfunction as the start vector, whose Rayleigh quotient and
+    residual place the first trial shift.  The report's ``iterations``
+    counts every solve, the inverse step before the final factor included.
+    The returned eigenfunction is W-normalized and its Rayleigh quotient
+    reproduces mu1 to the solver tolerance.  Raises EigenIterationError if
+    the operator is not finite, no shift is certified or the quotient has
+    not stabilized after MAX_INVERSE_ITERS solves.
     """
     grid = point.grid
     K = minus_laplacian(grid)
@@ -204,12 +222,21 @@ def smallest_stability_eigenvalue(
     x0 = _start_vector(grid) if previous is None else previous.eigenfunction
     if x0.shape != (grid.size,):
         raise ValueError("previous report lives on a different grid")
-    chol = _certify_shift(upper, t_norm, apply_B(x0) / float(x0 @ (W * x0)))
+    x = x0 / np.sqrt(x0 @ (W * x0))
+    ceiling = apply_B(x)
+    r = K.apply(K.apply(x)) - (lam * fpu + ceiling) * x  # B x - ceiling x
+    residual = float(np.sqrt(r @ (W * r)))
 
-    def solve(x):
+    def solver(chol):
         # (B - sigma)^(-1) = W^(-1/2) (T - sigma)^(-1) W^(1/2)
-        return dpbtrs(chol, s * x)[0] / s
+        return lambda y: dpbtrs(chol, s * y)[0] / s
 
-    mu, vec, iters = _inverse_iteration(solve, apply_B, W, x0)
-    return StabilityReport(mu1=mu, eigenfunction=vec, iterations=iters)
+    def inverse_step(chol):
+        nonlocal x
+        y = solver(chol)(x)
+        x = y / np.sqrt(y @ (W * y))
+        return apply_B(x)
 
+    chol = _certify_shift(upper, t_norm, ceiling, residual, inverse_step)
+    mu, vec, iters = _inverse_iteration(solver(chol), apply_B, W, x)
+    return StabilityReport(mu1=mu, eigenfunction=vec, iterations=iters + 1)

@@ -314,10 +314,24 @@ def test_branch_run_loads_no_estimates(tmp_path):
     assert result.stdout.splitlines()[-1] == "0 []"
 
 
+@pytest.mark.parametrize("argv", [["predict", "--family", "exp", "--N", "8"],
+                                  ["bootstrap", "--N", "6", "--q", "1", "--alpha", "1.5",
+                                   "--beta", "0.5"]])
+def test_predict_and_bootstrap_load_no_lapack(argv):
+    # they compute nothing on a grid, so they load no compute module
+    code = ("import sys; from navierlab.cli import main; "
+            f"code = main({argv!r}); "
+            "print(code, sorted(m for m in sys.modules if m.startswith(('scipy', 'navierlab.'))))")
+    result = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                            text=True, check=True, timeout=120)
+    assert result.stdout.splitlines()[-1] == (
+        "0 ['navierlab.bootstrap', 'navierlab.cli', 'navierlab.errors', 'navierlab.families']")
+
+
 def test_import_leaves_scipy_integrate_unloaded():
-    # nor any scipy package, not even scipy itself: only its compiled LAPACK
-    # module is loaded; and no process pool
-    code = ("import sys, navierlab, navierlab.cli; "
+    # nor any scipy package, not even scipy itself: a compute module loads
+    # only its compiled LAPACK module; and no process pool
+    code = ("import sys, navierlab, navierlab.cli, navierlab.branch; "
             "print(sorted(m for m in sys.modules if m.startswith(('scipy', "
             "'concurrent.futures.process', 'multiprocessing'))))")
     result = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
@@ -367,12 +381,13 @@ def test_package_exports_every_public_name():
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
 def test_import_starts_no_blas_threads():
-    # importing the CLI loads numpy's and scipy's OpenBLAS; neither may start
-    # its thread pool.  The variable is removed explicitly because this
-    # process's own import of navierlab has set it.
+    # importing the CLI and a compute module loads numpy's and scipy's
+    # OpenBLAS; neither may start its thread pool.  The variable is removed
+    # explicitly because this process's own import of navierlab has set it.
     env = src_env()
     env.pop("OPENBLAS_NUM_THREADS", None)
-    code = "import os, navierlab.cli; print(len(os.listdir('/proc/self/task')))"
+    code = ("import os, navierlab.cli, navierlab.branch; "
+            "print(len(os.listdir('/proc/self/task')))")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=120)
     assert result.stdout.strip() == "1"

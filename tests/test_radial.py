@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+from navierlab import radial
 from navierlab.radial import (
     RadialGrid,
     minus_laplacian,
@@ -147,12 +148,13 @@ def test_square_bands_match_dense_square(N):
 
 def test_operator_and_weights_built_once_per_grid():
     g = RadialGrid(5, 32)
-    K, W = minus_laplacian(g), volume_weights(g)
+    K, W, Q = minus_laplacian(g), volume_weights(g), radial._quadrature_weights(g)
     assert minus_laplacian(RadialGrid(5, 32)) is K
     assert volume_weights(RadialGrid(5, 32)) is W
+    assert radial._quadrature_weights(RadialGrid(5, 32)) is Q
     assert K.square_bands is K.square_bands
     # shared, so nobody may write to them
-    for x in (K.sub, K.diag, K.sup, K.square_bands, W):
+    for x in (K.sub, K.diag, K.sup, K.square_bands, W, Q):
         assert not x.flags.writeable
 
 
@@ -168,6 +170,25 @@ def test_integrate_unit_ball_volumes():
     g2 = RadialGrid(2, 512)
     vol2 = integrate_radial(np.ones(g2.size), g2, outer=1.0)
     assert abs(vol2 - math.pi) < 1e-10
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_integrate_radial_is_composite_simpson(n):
+    # against the rule written out node by node: Simpson over an even count
+    # of intervals, and over all but the last three, with 3/8 on those, for
+    # an odd count
+    g = RadialGrid(5, n)
+    r = list(g.r) + [1.0]
+    phi = [math.exp(-x) * x**4 for x in r]  # the integrand times r^(N-1)
+    h, last = g.h, len(r) - 1
+    simpson_end = last if last % 2 == 0 else last - 3
+    total = sum((1 if i in (0, simpson_end) else 4 if i % 2 else 2) * phi[i] * h / 3.0
+                for i in range(simpson_end + 1))
+    if simpson_end < last:
+        total += sum(c * phi[simpson_end + k] * 3.0 * h / 8.0 for k, c in enumerate((1, 3, 3, 1)))
+    expected = unit_sphere_area(5) * total
+    value = integrate_radial(np.exp(-g.r), g, outer=math.exp(-1.0))
+    assert abs(value - expected) <= 1e-14 * abs(expected)
 
 
 def test_integrate_r_squared_dim_four():

@@ -265,6 +265,39 @@ def test_certified_shift_through_the_fold(fam, N, m_max, monkeypatch):
             assert rep.iterations <= MAX_SHIFTED_ITERS
 
 
+def test_certificate_cost_along_the_mu1_column(monkeypatch):
+    # the two sweep cells at n = 512 whose columns cost the most, chained as
+    # the CLI computes them: the start vector's residual places the first
+    # trial and one inverse step the second, so most values take two
+    # factorizations.  Stepping and bisecting down from the start vector's
+    # quotient took 96 and 180 trials here, and 25 and 29 at the unchained
+    # first points, from a cosine bump.
+    trials = []
+    cholesky = stability._cholesky
+
+    def recording_cholesky(upper, sigma):
+        chol = cholesky(upper, sigma)
+        trials.append(chol is not None)
+        return chol
+
+    monkeypatch.setattr(stability, "_cholesky", recording_cholesky)
+    counts = []
+    for fam, N, m_max, most in ((exponential(), 4, 6.0, 48), (mems(2.0), 8, MEMS_M_MAX, 150)):
+        branch = continue_branch(fam, RadialGrid(N, 512), m_max)
+        rep, column = None, []
+        for pt in branch.points:
+            trials.clear()
+            rep = smallest_stability_eigenvalue(fam, pt, rep)
+            column.append(len(trials))
+        assert sum(column) <= most, (fam.spec, column)
+        counts += column
+        # unchained, the first point starts from K^-2 1, whose first trial succeeds
+        trials.clear()
+        smallest_stability_eigenvalue(fam, branch.points[0])
+        assert trials[0] and len(trials) <= 21, (fam.spec, trials)
+    assert np.median(counts) <= 2, counts
+
+
 def test_touchdown_mode_at_the_mems_limit():
     # at m = MEMS_M_MAX the leftmost mode is localized at the touchdown
     # point and near -8e13; a start vector barely overlapping it leaves
