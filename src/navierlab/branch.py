@@ -51,6 +51,7 @@ MAX_NEWTON = 50  # Newton steps per point
 DAMPING = 0.5  # line-search step reduction
 STEP_GROWTH = 2.0  # largest continuation step growth
 MIN_STEP_FACTOR = 1.0 / 1024.0  # smallest one before continuation gives up
+MAX_POINTS = 10_000  # the most points a march solves before it gives up
 # the singular family is continued no further than this amplitude, which the
 # grid still resolves; its fold sits far below
 MEMS_M_MAX = 1.0 - 1e-4
@@ -293,8 +294,10 @@ def continue_branch(
     tried, so no retry repeats a failed solve.  The singular family is
     continued to at most MEMS_M_MAX.  The first fold, which may lie between
     the trivial point and the first sample, is then solved (``_solve_fold``),
-    on a partial branch too: a step below MIN_STEP_FACTOR * amplitude_step
-    raises ContinuationError carrying the Branch of the solved points.
+    on a partial branch too: a retry step below MIN_STEP_FACTOR *
+    amplitude_step or one ulp of m, or MAX_POINTS points solved with neither
+    end reached, raises ContinuationError carrying the Branch of the solved
+    points.
     """
     config = config or SolverConfig()
     if not 0.0 < m_max < np.inf:
@@ -307,11 +310,12 @@ def continue_branch(
     points = [trivial_point(grid)]
     step = config.amplitude_step
     failure = ""
-    while not failure and points[-1].semi_stable:
+    while not failure and points[-1].semi_stable and points[-1].m < m_max:
         m_last = points[-1].m  # the last accepted amplitude
-        m_target = min(m_last + step, m_max)
-        if m_target <= m_last:
+        if len(points) > MAX_POINTS:
+            failure = f"the march solved its budget of {MAX_POINTS} points up to m={m_last:g}"
             break
+        m_target = min(m_last + step, m_max)
         u, lam = _predict(points[-1], m_target)
         try:
             pt = _newton(K, family, grid, m_target, u, lam, config)
@@ -319,6 +323,8 @@ def continue_branch(
             step = 0.5 * (m_target - m_last)
             if step < step_floor:
                 failure = f"step fell below {step_floor:g} near m={m_target:g}: {exc}"
+            elif not m_last < m_last + step < m_target:  # below one ulp of m
+                failure = f"step {step:g} no longer moves m={m_last:.17g}: {exc}"
             continue
         points.append(pt)
         c = float(np.max(np.abs(pt.u - u))) / max(1.0, float(np.max(np.abs(pt.u))))

@@ -11,12 +11,14 @@ from navierlab.branch import (
     MEMS_M_MAX,
     Branch,
     BranchPoint,
+    ContinuationError,
     NewtonDivergedError,
     SolverConfig,
     continue_branch,
     solve_at_amplitude,
     trivial_point,
 )
+from navierlab.cli import MAX_GRID_NODES
 from navierlab.families import exponential, mems, parse_family, power
 from navierlab.radial import RadialGrid, minus_laplacian, solve_navier_biharmonic
 from navierlab.stability import smallest_stability_eigenvalue
@@ -193,6 +195,48 @@ def test_no_amplitude_tried_past_m_max(monkeypatch):
     assert tried and max(tried) <= MEMS_M_MAX
     assert MEMS_M_MAX in tried  # the clamp itself was tried
     assert len(set(starts)) == len(starts)
+
+
+def test_stalled_march_below_one_ulp_ends_partial(monkeypatch):
+    # with a first step of 1e-300 the step floor lies far below one ulp of m,
+    # so a march that diverges past m = 1 halves its retry step until it no
+    # longer moves m; it once left the loop there and returned the branch
+    # as if it had reached m_max
+    newton = branch_module._newton
+
+    def diverging_newton(K, family, grid, m, *args):
+        if m > 1.0:
+            raise NewtonDivergedError(f"diverged at m={m:g}")
+        return newton(K, family, grid, m, *args)
+
+    monkeypatch.setattr(branch_module, "_newton", diverging_newton)
+    with pytest.raises(ContinuationError, match="no longer moves m") as info:
+        continue_branch(exponential(), RadialGrid(3, 64), 2.0, SolverConfig(amplitude_step=1e-300))
+    kept = info.value.partial.points
+    assert len(kept) > 1000 and kept[-1].m <= 1.0 and not info.value.partial.fold_detected
+
+
+def _lambda_star_ratios(ns):
+    """For exp N=3 (m_max 2), each n's ratio of the successive differences
+    lambda*(n/2) - lambda*(n/4) and lambda*(n) - lambda*(n/2), divided by
+    the ratio an h^2 trend gives, h = 1/(n+1)."""
+    lam = {n: continue_branch(exponential(), RadialGrid(3, n), 2.0).lambda_star_estimate
+           for n in {ns[0] // 4, ns[0] // 2, *ns}}
+    h2 = {n: (n + 1.0) ** -2 for n in lam}
+    return [(lam[n // 2] - lam[n // 4]) / (lam[n] - lam[n // 2])
+            * (h2[n // 2] - h2[n]) / (h2[n // 4] - h2[n // 2]) for n in ns]
+
+
+def test_lambda_star_keeps_its_h2_trend_up_to_the_grid_limit():
+    # the command line accepts no grid finer than this trend holds on
+    ratios = _lambda_star_ratios([MAX_GRID_NODES // 2, MAX_GRID_NODES])
+    assert ratios == pytest.approx([1.0, 1.0], rel=0.01)
+
+
+@pytest.mark.xfail(strict=True, reason="the K^2 tangent loses its digits at n = 8192 "
+                   "(ROADMAP item 13: Newton in the split form)")
+def test_lambda_star_keeps_its_h2_trend_at_8192():
+    assert _lambda_star_ratios([8192]) == pytest.approx([1.0], rel=0.01)
 
 
 def test_march_stops_one_sample_past_the_fold():

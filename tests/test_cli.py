@@ -499,6 +499,46 @@ def test_partial_branch_is_kept_and_flagged(command, artifact, tmp_path, capsys,
     assert read(os.path.join(full, rows)).startswith(kept)
 
 
+# (family, N, n, m-max, first amplitude) of marches far longer than m_max over
+# the first step, each ending with the status its branch earns, and its
+# points: the steps grow with the predictor's accuracy, not in units of the
+# first one
+LONG_MARCHES = {
+    "runaway-steps": (("exp", "3", "64", "1000", "1e-4"), "ok", 18),
+    "power-p5-N16": (("power:p=5", "16", "1024", "300", "0.01"), "no-fold", 68),
+    "least-subnormal-step": (("exp", "3", "64", "6", "5e-324"), "ok", 1078),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_MARCHES))
+def test_long_march_ends_with_its_own_status(case, tmp_path, capsys):
+    (family, dim, n, m_max, step), status, points = LONG_MARCHES[case]
+    out = str(tmp_path / "run")
+    code = main(["branch", "--family", family, "--N", dim, "--n", n, "--m-max", m_max,
+                 "--amplitude-step", step, "--out", out])
+    capsys.readouterr()
+    assert code == cli._EXIT[status]
+    tag = f"{cli._family_tag(family)}_N{dim}"
+    summary = json.loads(read(os.path.join(out, f"branch_{tag}.json")))
+    assert summary["status"] == status and summary["fold_detected"] == (status == "ok")
+    assert read(os.path.join(out, f"branch_{tag}.csv")).count("\n") == points + 1
+
+
+def test_march_past_its_point_budget_ends_partial(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(branch_module, "MAX_POINTS", 5)
+    out = str(tmp_path / "run")
+    argv = ["--n", "64", "--m-max", "12", "--amplitude-step", "0.01", "--out", out]
+    code = main(["branch", "--family", "exp", "--N", "3", *argv])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("compute failure: the march solved its budget of 5 points")
+    assert json.loads(read(os.path.join(out, "branch_exp_N3.json")))["status"] == "partial"
+    assert read(os.path.join(out, "branch_exp_N3.csv")).count("\n") == 6
+    assert main(["sweep", "--families", "exp", "--dims", "3", *argv]) == 4
+    rows = list(csv.DictReader(read(os.path.join(out, "sweep.csv")).splitlines()))
+    assert [row["status"] for row in rows] == ["partial"]
+
+
 # ---------------------------------------------------------------------------
 # config file
 # ---------------------------------------------------------------------------
@@ -864,12 +904,12 @@ FAILING = {
                         "--beta", "0.5"],
     "bootstrap-alpha-inf": ["bootstrap", "--N", "6", "--q", "1", "--alpha", "inf",
                             "--beta", "0.5"],
-    "branch-runaway-steps": ["branch", "--family", "exp", "--m-max", "1000",
-                             "--amplitude-step", "1e-4"],
     "branch-tol-inf": ["branch", "--family", "exp", "--tol", "inf"],
     "branch-tol-loose": ["branch", "--family", "exp", "--tol", "1e-3"],
     "branch-step-inf": ["branch", "--family", "exp", "--amplitude-step", "inf"],
     "branch-huge-grid": ["branch", "--family", "exp", "--n", "10000000000000"],
+    # above 4096 nodes lambda* leaves its h^2 trend
+    "branch-n8192": ["branch", "--family", "exp", "--n", "8192"],
     # each end of a range is checked against the grid before it is expanded
     "sweep-huge-dims-range": ["sweep", "--families", "exp", "--dims", "3..999999999999"],
     # the center cell's volume weight underflows to 0 (N = 127 is the first
