@@ -499,7 +499,13 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_run(args) -> int:
-    """branch, verify and sweep: validate every cell, then run them."""
+    """branch, verify and sweep: validate every cell, then run them.
+
+    A sweep hands its cells to ``_fork_map`` by decreasing N, each N in the
+    given family order: a cell's work grows with N, so the longest cells are
+    claimed first and the last one claimed is short.  ``sweep.csv`` is
+    sorted by family and N, whichever worker ran a cell and when.
+    """
     options = vars(args)  # the options given, as flags or in the config file
     cfg = RunConfig(**{f.name: options[f.name] for f in fields(RunConfig) if f.name in options})
     configs = [cfg]
@@ -519,7 +525,8 @@ def cmd_run(args) -> int:
         return EXIT_OK
     # a family spelled twice runs once; each cell runs alone in its worker
     unique = {(c.cfg.family, c.cfg.N): c for c in cells}
-    cells = [replace(c, cfg=replace(c.cfg, jobs=1)) for c in unique.values()]
+    cells = [replace(c, cfg=replace(c.cfg, jobs=1))
+             for c in sorted(unique.values(), key=lambda c: -c.cfg.N)]
     run = partial(_run_cell, command="sweep")
     # every cell runs both; loaded here, the forked workers inherit them
     from . import bootstrap, estimates  # noqa: F401

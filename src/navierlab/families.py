@@ -98,10 +98,10 @@ class NonlinearityFamily:
 
     def _check_domain(self, t: np.ndarray) -> None:
         if self.kind == "power":
-            if np.any(t <= -1.0):
+            if (t <= -1.0).any():
                 raise FamilyDomainError("power family needs t > -1")
         elif self.kind == "mems":
-            if np.any(t >= 1.0):
+            if (t >= 1.0).any():
                 raise FamilyDomainError("mems family needs t < 1 (touchdown)")
 
     def _derivative(self, k: int, t):

@@ -20,7 +20,8 @@ iteration runs on the banded Cholesky factor of T - sigma (LAPACK
 ``dpbtrf``/``dpbtrs`` from ``navierlab._lapack``).  A factorization
 succeeds exactly when sigma < mu1 (to about eps ||T||).  The search starts
 from a vector x: the previous point's eigenfunction along a branch, the
-hinged plate's response K^-2 1 to a uniform load otherwise.  Its
+ground mode of K^2 otherwise (the hinged plate's response K^-2 1 to a
+uniform load, iterated under K^-2 until its quotient settles).  Its
 W-Rayleigh quotient rho bounds mu1 from above, and some eigenvalue lies
 within its residual ||B x - rho x||_W of rho (Krylov-Weinstein), so the
 first trial, rho less that residual, succeeds whenever x is nearest the
@@ -68,6 +69,7 @@ MAX_INVERSE_ITERS = 400
 _VEC_TOL = max(1e-8, np.sqrt(EIG_TOL) * 1e-3)
 BRACKET_GROWTH = 4.0  # ratio of successive trial-shift steps
 _EPS_MARGIN = 2.0 * np.finfo(float).eps  # rounding margin of factoring T, per ||T||_1
+_REL_MARGIN = 1e-6  # the certificate's margin, per 1 + |quotient|
 
 
 @dataclass
@@ -78,9 +80,27 @@ class StabilityReport:
 
 
 def _start_vector(grid: RadialGrid) -> np.ndarray:
-    """The hinged plate's response K^-2 1 to a uniform load: positive,
-    vanishing at r = 1 and close to the ground mode of K^2."""
-    return solve_navier_biharmonic(grid, np.ones(grid.size))[0]
+    """The ground mode of K^2, W-normalized: the hinged plate's response
+    K^-2 1 to a uniform load, iterated under K^-2 until its W-Rayleigh
+    quotient changes by at most the certificate's relative margin.  Each
+    plate solve damps the other modes by (nu1 / nu2)^2 or more, nu1 < nu2
+    the two lowest eigenvalues of K, so four to seven settle it (N = 3 to
+    14).  From K^-2 1 itself, the cut below the first inverse step's
+    quotient failed at a chain's first point, and bisection took 19-20
+    trials."""
+    W = volume_weights(grid)
+    x = solve_navier_biharmonic(grid, np.ones(grid.size))[0]
+    x = x / np.sqrt(x @ (W * x))
+    rho = np.inf
+    for _ in range(MAX_INVERSE_ITERS):
+        y = solve_navier_biharmonic(grid, x)[0]
+        yy = float(y @ (W * y))
+        # the quotient of y: <K^2 y, y>_W = <x, y>_W, as K^2 y = x
+        last, rho = rho, float(x @ (W * y)) / yy
+        x = y / np.sqrt(yy)
+        if abs(last - rho) <= _REL_MARGIN * (1.0 + rho):
+            break
+    return x
 
 
 def _stability_bands(K, s, lam, fpu):
@@ -136,7 +156,7 @@ def _certify_shift(upper, t_norm, ceiling, residual, inverse_step):
     quotient can lie far above mu1.
     """
     eps_margin = _EPS_MARGIN * t_norm
-    fail, step = ceiling, max(eps_margin, 1e-6 * (1.0 + abs(ceiling)), residual)
+    fail, step = ceiling, max(eps_margin, _REL_MARGIN * (1.0 + abs(ceiling)), residual)
     sigma = fail - step
     chol = _cholesky(upper, sigma)
     while chol is None:
@@ -146,7 +166,7 @@ def _certify_shift(upper, t_norm, ceiling, residual, inverse_step):
         fail, step = sigma, step * BRACKET_GROWTH
         sigma = fail - step
         chol = _cholesky(upper, sigma)
-    margin = max(eps_margin, 1e-6 * (1.0 + min(abs(ceiling), abs(fail))))
+    margin = max(eps_margin, _REL_MARGIN * (1.0 + min(abs(ceiling), abs(fail))))
     fail = min(fail, inverse_step(chol))
     if fail - sigma > margin:
         cut = _cholesky(upper, fail - margin)

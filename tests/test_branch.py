@@ -571,3 +571,42 @@ def test_mems_clamp_residual_budget(monkeypatch):
     monkeypatch.setattr(branch_module, "_residual", counting_residual)
     continue_branch(mems(2.0), RadialGrid(8, 512), MEMS_M_MAX)
     assert len(calls) <= 400
+
+
+@pytest.mark.parametrize("spec, N, most", [("exp", 4, 28), ("mems:p=2", 8, 35)])
+def test_march_factorization_budget(spec, N, most, monkeypatch):
+    # two sweep cells: every march solve but the first starts from the cubic
+    # Hermite through the last two points, and starting each from the Euler
+    # step took 35 and 42 Newton factorizations
+    calls = []
+    gbsv = branch_module.dgbsv
+
+    def counting_gbsv(*args, **kwargs):
+        calls.append(None)
+        return gbsv(*args, **kwargs)
+
+    monkeypatch.setattr(branch_module, "dgbsv", counting_gbsv)
+    fam = parse_family(spec)
+    continue_branch(fam, RadialGrid(N, 512), MEMS_M_MAX if fam.singular else 6.0)
+    assert len(calls) <= most
+
+
+def test_fold_solves_start_from_the_euler_step(monkeypatch):
+    # the fold pair of mems:p=2 N=9 at n = 512 lies next to touchdown, where
+    # the cubic Hermite through both ends of the pair started 37 solves that
+    # diverged; from the Euler step along the semi-stable end none diverge,
+    # and the march's one divergence is its try at the clamp
+    diverged = []
+    newton = branch_module._newton
+
+    def counting_newton(K, family, grid, m, *args):
+        try:
+            return newton(K, family, grid, m, *args)
+        except NewtonDivergedError:
+            diverged.append(m)
+            raise
+
+    monkeypatch.setattr(branch_module, "_newton", counting_newton)
+    branch = continue_branch(mems(2.0), RadialGrid(9, 512), MEMS_M_MAX)
+    assert branch.fold_detected
+    assert len(diverged) <= 2, diverged

@@ -732,6 +732,25 @@ def test_sweep_without_fork_runs_serially(tmp_path, capsys, monkeypatch):
     assert sizes == [1]
 
 
+def test_sweep_claims_the_highest_dimensions_first(tmp_path, capsys, monkeypatch):
+    # a cell's work grows with N, so the pool gets the cells by falling N,
+    # each N in the given family order; sweep.csv stays sorted
+    handed = []
+    fork_map = cli._fork_map
+
+    def recording_fork_map(run, items, workers):
+        handed.extend((cell.cfg.family, cell.cfg.N) for cell in items)
+        return fork_map(run, items, workers)
+
+    monkeypatch.setattr(cli, "_fork_map", recording_fork_map)
+    code, stdout = run(capsys, "sweep", "--families", "power:p=2,exp", "--dims", "3..4", *FOLDED,
+                       "--out", str(tmp_path / "s"))
+    assert code == 0
+    assert handed == [("power:p=2", 4), ("exp", 4), ("power:p=2", 3), ("exp", 3)]
+    rows = [line.split(",")[:2] for line in stdout.splitlines()[1:]]
+    assert rows == [["exp", "3"], ["exp", "4"], ["power:p=2", "3"], ["power:p=2", "4"]]
+
+
 def test_fork_map_with_one_worker_forks_nothing(monkeypatch):
     monkeypatch.delattr(os, "fork")
     assert cli._fork_map(lambda item: 2 * item, [1, 2, 3], 1) == [2, 4, 6]
