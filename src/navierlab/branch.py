@@ -9,8 +9,8 @@ and Delta u = -K u = 0, on the boundary) each point solves
     K^2 u = lambda f(u),   u(0) = m,
 
 by damped Newton iteration on B = K^2 - lambda diag f'(u), the operator
-whose spectrum decides semi-stability (``navierlab.stability``), bordered
-by the lambda column and the constraint row.  LAPACK ``dgbsv`` (from
+whose smallest eigenvalue mu1 decides semi-stability, bordered by the
+lambda column and the constraint row.  LAPACK ``dgbsv`` (from
 ``navierlab._lapack``, without the ``scipy.linalg`` package init) factors
 it.  A march solve starts from the cubic Hermite through the last two solved
 points, every other solve from the Euler step along a solved point's tangent.
@@ -19,10 +19,12 @@ upward with adaptive steps until a point is not semi-stable (or m reaches
 m_max), then solves at the first fold, this grid's extremal solution u*.
 
 The minimal branch is the branch of semi-stable solutions, so one flag on
-every point decides the fold, between the last semi-stable point and the
-first that is not; a ``Branch`` derives from its points the fold, whether
-one was passed, lambda* and ``pre_fold_points``.  lambda alone would not
-do: it can fall between semi-stable samples, and later turns rise higher.
+every point, read from its slope and its mu1 (certified once, as the point
+is solved, by ``navierlab.stability``), decides the fold, between the last
+semi-stable point and the first that is not; a ``Branch`` derives from its
+points the fold, whether one was passed, lambda* and ``pre_fold_points``.
+lambda alone would not do: it can fall between semi-stable samples, and
+later turns rise higher.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from ._lapack import dgbsv
 from .errors import ContinuationError
 from .families import FamilyDomainError, NonlinearityFamily
 from .radial import RadialGrid, BandedOperator, minus_laplacian, solve_navier_biharmonic
-from .stability import _semi_stable
+from .stability import _REL_MARGIN, StabilityReport, smallest_stability_eigenvalue
 
 __all__ = [
     "SolverConfig",
@@ -86,7 +88,9 @@ class SolverConfig:
 @dataclass
 class BranchPoint:
     """One solution at amplitude m, with v = K u = -Delta_h u, its tangent
-    (du_dm, dlam_dm) and whether B = K^2 - lambda f'(u) is semi-stable there."""
+    (du_dm, dlam_dm), the certified smallest eigenvalue of B = K^2 - lambda
+    f'(u) (``stability``, None at the trivial point) and whether B is
+    semi-stable there."""
 
     m: float
     lam: float
@@ -98,6 +102,7 @@ class BranchPoint:
     dlam_dm: float = np.nan
     du_dm: np.ndarray | None = field(default=None, repr=False)
     semi_stable: bool = True
+    stability: StabilityReport | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -172,7 +177,7 @@ def _residual(K: BandedOperator, D, family, u, lam, m):
     return R, R_amp, fu, rn
 
 
-def _newton(K, family, grid, m, u, lam, config) -> BranchPoint:
+def _newton(K, family, grid, m, u, lam, config, previous) -> BranchPoint:
     """Damped bordered Newton on (u, lambda) at fixed amplitude.
 
     A point is accepted when the rowwise-scaled residual is below
@@ -187,8 +192,12 @@ def _newton(K, family, grid, m, u, lam, config) -> BranchPoint:
     The m-derivative of the system, B du/dm = f(u) dlambda/dm with
     du/dm[0] = 1, makes the last solve's B z = -f(u) the branch tangent,
     stored on the point: du/dm = z / z[0], dlambda/dm = -1 / z[0].  So is
-    whether B is semi-stable: dlambda/dm > 0, as wherever B is positive
-    definite, and T has a Cholesky factor (``stability._semi_stable``).
+    its ``stability`` report, chained from ``previous`` (the report of the
+    point the solve started from), and whether B is semi-stable:
+    dlambda/dm > 0, as wherever B is positive definite, and mu1 >=
+    -_REL_MARGIN, the certificate's margin, as next to u* the two disagree
+    by rounding (mems:p=2 N=3 n=512: +1.6e-7 and -5.1e-8; a bound of 0
+    tripled that fold's solves).
     """
     D = float(np.abs(K.diag).max())
     res = _residual(K, D, family, u, lam, m)
@@ -205,8 +214,10 @@ def _newton(K, family, grid, m, u, lam, config) -> BranchPoint:
         R, R_amp, fu, rn = res
         if rn <= config.newton_tol and update_rel is not None and update_rel <= config.newton_tol:
             dlam_dm = -1.0 / float(z[0])
-            return BranchPoint(m, float(lam), u, K.apply(u), rn, it, grid, dlam_dm, z / z[0],
-                               dlam_dm > 0.0 and _semi_stable(K, grid, lam, family.fp(u)))
+            pt = BranchPoint(m, float(lam), u, K.apply(u), rn, it, grid, dlam_dm, z / z[0])
+            pt.stability = smallest_stability_eigenvalue(family, pt, previous)
+            pt.semi_stable = dlam_dm > 0.0 and pt.stability.mu1 >= -_REL_MARGIN
+            return pt
         if it == MAX_NEWTON:
             break
         ab[2:] = K.square_bands
@@ -275,7 +286,8 @@ def solve_at_amplitude(
     solved point on the same grid, or of the trivial point when none is given.
     That start, lambda = m / Phi(0), lies far above the branch far past the
     fold and can stall (power(2), N=4, n=256, m=10); start there from a
-    solved neighbour on ``continue_branch``'s branch.
+    solved neighbour on ``continue_branch``'s branch.  The point's
+    certificate starts from the eigenfunction of ``guess``'s, if it has one.
     """
     config = config or SolverConfig()
     if not 0.0 < m < np.inf:
@@ -288,7 +300,8 @@ def solve_at_amplitude(
         raise ValueError("warm-start point lives on a different grid")
     elif guess.du_dm is None:
         raise ValueError("warm-start point carries no tangent")
-    return _newton(minus_laplacian(grid), family, grid, m, *_predict(guess, m), config)
+    return _newton(minus_laplacian(grid), family, grid, m, *_predict(guess, m), config,
+                   guess.stability)
 
 
 def continue_branch(
@@ -340,7 +353,7 @@ def continue_branch(
         euler = _predict(points[-1], m_target)  # the step rule's yardstick
         start = _hermite(points[-2], points[-1], m_target) if len(points) > 1 else euler
         try:
-            pt = _newton(K, family, grid, m_target, *start, config)
+            pt = _newton(K, family, grid, m_target, *start, config, points[-1].stability)
         except NewtonDivergedError as exc:
             step = 0.5 * (m_target - m_last)
             if step < step_floor:
@@ -399,7 +412,7 @@ def _solve_fold(K, family, grid, config, points) -> None:
         if not a.m < m_new < b.m:
             return
         try:
-            pt = _newton(K, family, grid, m_new, *_predict(a, m_new), config)
+            pt = _newton(K, family, grid, m_new, *_predict(a, m_new), config, a.stability)
         except NewtonDivergedError:
             m_new = 0.5 * (a.m + m_new)  # retry halfway to a
             continue

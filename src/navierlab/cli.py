@@ -53,10 +53,10 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_COMPUTE = 4
 
-# the most interior grid nodes a run may ask for.  Up to here exp N=3's
-# lambda* keeps its h^2 trend: its successive differences shrink by 3.991 and
-# 3.998 at n = 2048 and 4096 (the trend gives 3.991 and 3.995); at 8192, where
-# Newton's K^2 tangent loses its digits, by 6.76
+# the most interior grid nodes a run may ask for.  exp N=3's lambda* keeps
+# its h^2 trend up to 8192, but there Newton's K^2 tangent loses its digits:
+# near the fold its slope reads about +-2e-3 with either sign, and the fold
+# solve bisects that rounding, 60 points where n = 4096 takes 9
 MAX_GRID_NODES = 4096
 
 
@@ -282,17 +282,6 @@ _SWEEP_COLUMNS = ("family", "N", "status", "lambda_star", "fold_detected", "verd
                   "estimates_ok")
 
 
-def _mu1_column(family, branch: Branch) -> list[float]:
-    from .stability import smallest_stability_eigenvalue
-
-    column = []
-    report = None  # each report's eigenfunction starts the next point
-    for pt in branch.points:
-        report = smallest_stability_eigenvalue(family, pt, report)
-        column.append(report.mu1)
-    return column
-
-
 def _suprema_summary(family, branch: Branch) -> dict:
     from .estimates import check_L2, check_crucial_integrals, check_fprime_integral
 
@@ -336,7 +325,6 @@ def _run_cell(cell: _Cell, command: str) -> dict:
             record.update(status="partial", error=str(exc))
         record.update(lambda_star=branch.lambda_star_estimate, fold_detected=branch.fold_detected)
 
-        mu1 = _mu1_column(family, branch) if command != "verify" else []
         reports, not_applicable = [], ""
         if command != "branch":
             from .estimates import run_pointwise_suite
@@ -374,8 +362,8 @@ def _run_cell(cell: _Cell, command: str) -> dict:
                 summary["status"] = record["status"]  # absent means ok
             _write_atomic(os.path.join(cfg.out, f"verify_{tag}.json"), _json_text(summary))
         else:
-            rows = ((pt.m, pt.lam, pt.u[0], np.max(pt.u), mu, pt.residual_norm, pt.newton_iters)
-                    for pt, mu in zip(branch.points, mu1))
+            rows = ((pt.m, pt.lam, pt.u[0], np.max(pt.u), pt.stability.mu1, pt.residual_norm,
+                     pt.newton_iters) for pt in branch.points)
             _write_atomic(os.path.join(cfg.out, f"branch_{tag}.csv"),
                           _csv_text(_BRANCH_HEADER, rows))
             summary.update(points=len(branch.points), status=record["status"])

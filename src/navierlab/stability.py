@@ -14,14 +14,17 @@ Delta psi at the boundary node.  B is also the branch Newton Jacobian, and
 both start from the one shared ``K.square_bands``.  The symmetric
 similarity transform T = W^(1/2) B W^(-1/2) is pentadiagonal.
 
+``navierlab.branch`` certifies every point once, as it accepts it, and
+the point's semi-stability flag and the branch CSV's mu1 read that report.
 Every point takes the same path: a shift sigma is certified within one
 margin below the leftmost eigenvalue mu1, then shifted inverse power
 iteration runs on the banded Cholesky factor of T - sigma (LAPACK
 ``dpbtrf``/``dpbtrs`` from ``navierlab._lapack``).  A factorization
 succeeds exactly when sigma < mu1 (to about eps ||T||).  The search starts
-from a vector x: the previous point's eigenfunction along a branch, the
-ground mode of K^2 otherwise (the hinged plate's response K^-2 1 to a
-uniform load, iterated under K^-2 until its quotient settles).  Its
+from a vector x: along a branch the eigenfunction of the point the solve
+started from, the ground mode of K^2 otherwise (the hinged plate's
+response K^-2 1 to a uniform load, iterated under K^-2 until its quotient
+settles).  Its
 W-Rayleigh quotient rho bounds mu1 from above, and some eigenvalue lies
 within its residual ||B x - rho x||_W of rho (Krylov-Weinstein), so the
 first trial, rho less that residual, succeeds whenever x is nearest the
@@ -63,10 +66,8 @@ __all__ = [
     "smallest_stability_eigenvalue",
 ]
 
-EIG_TOL = 1e-10
 MAX_INVERSE_ITERS = 400
-# iterate change that ends inverse iteration; see _inverse_iteration
-_VEC_TOL = max(1e-8, np.sqrt(EIG_TOL) * 1e-3)
+_VEC_TOL = 1e-8  # iterate change that ends inverse iteration; see _inverse_iteration
 BRACKET_GROWTH = 4.0  # ratio of successive trial-shift steps
 _EPS_MARGIN = 2.0 * np.finfo(float).eps  # rounding margin of factoring T, per ||T||_1
 _REL_MARGIN = 1e-6  # the certificate's margin, per 1 + |quotient|
@@ -127,12 +128,6 @@ def _cholesky(upper, sigma):
     return chol if info == 0 else None
 
 
-def _semi_stable(K, grid, lam, fpu) -> bool:
-    """Whether T has a banded Cholesky factor at the shift -_EPS_MARGIN ||T||_1."""
-    upper, t_norm = _stability_bands(K, np.sqrt(volume_weights(grid)), lam, fpu)
-    return bool(np.isfinite(t_norm)) and _cholesky(upper, -_EPS_MARGIN * t_norm) is not None
-
-
 def _certify_shift(upper, t_norm, ceiling, residual, inverse_step):
     """Banded Cholesky factor of T - sigma at a shift sigma within one margin below mu1.
 
@@ -189,11 +184,11 @@ def _inverse_iteration(solve, apply_B, W, x0):
     ``solve(x)`` applies the inverse of the shifted operator.  Returns the
     quotient, the W-normalized iterate and the number of solves.
     Convergence is declared on the W-norm change of the (sign-aligned)
-    iterate: a vector change below _VEC_TOL = 1e-8 pins the Rayleigh
-    quotient to a relative accuracy of order 1e-16, comfortably beyond
-    EIG_TOL, and — unlike a relative test on the eigenvalue itself — stays
-    meaningful when the eigenvalue crosses zero at a fold.  Raises
-    EigenIterationError after MAX_INVERSE_ITERS solves.
+    iterate: a vector change below _VEC_TOL pins the Rayleigh quotient to a
+    relative accuracy of order _VEC_TOL^2 = 1e-16, and — unlike a relative
+    test on the eigenvalue itself — stays meaningful when the eigenvalue
+    crosses zero at a fold.  Raises EigenIterationError after
+    MAX_INVERSE_ITERS solves.
     """
     x = x0 / np.sqrt(x0 @ (W * x0))
     for it in range(1, MAX_INVERSE_ITERS + 1):
@@ -205,9 +200,8 @@ def _inverse_iteration(solve, apply_B, W, x0):
         x = y
         if dx <= _VEC_TOL:
             return float(apply_B(x)), x, it
-    raise EigenIterationError(
-        f"eigenvalue failed to stabilize to {EIG_TOL:g} within {MAX_INVERSE_ITERS} steps"
-    )
+    raise EigenIterationError(f"the iterate's W-norm change stayed above {_VEC_TOL:g} "
+                              f"after {MAX_INVERSE_ITERS} inverse steps")
 
 
 def smallest_stability_eigenvalue(

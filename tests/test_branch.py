@@ -233,10 +233,28 @@ def test_lambda_star_keeps_its_h2_trend_up_to_the_grid_limit():
     assert ratios == pytest.approx([1.0, 1.0], rel=0.01)
 
 
-@pytest.mark.xfail(strict=True, reason="the K^2 tangent loses its digits at n = 8192 "
-                   "(ROADMAP item 13: Newton in the split form)")
 def test_lambda_star_keeps_its_h2_trend_at_8192():
+    # the fold is read from each point's certified mu1, so lambda* keeps its
+    # trend past the grid limit, where the K^2 tangent's slope near the fold
+    # is rounding
     assert _lambda_star_ratios([8192]) == pytest.approx([1.0], rel=0.01)
+
+
+def test_fold_flag_tolerates_the_certificate_margin():
+    # next to u* Newton's slope reads +1.6e-7 where the certified mu1 is
+    # -5.1e-8: read against 0, that point was not semi-stable and the fold
+    # solve took 18 points instead of 6
+    branch = continue_branch(mems(2.0), RadialGrid(3, 512), MEMS_M_MAX)
+    assert len(branch.points) <= 6
+    assert branch.lambda_star_estimate == 12.676459371300766
+
+
+def test_fold_flag_reads_the_slope():
+    # at the grid limit a fold solve lands at m = 1.65639, where mu1 is
+    # +2.4e-3 but the slope reads -3.6e-5; read as semi-stable, that point
+    # became the end of the fold pair that _hermite_peak takes to rise
+    branch = continue_branch(exponential(), RadialGrid(3, MAX_GRID_NODES), 6.0)
+    assert all(pt.dlam_dm > 0.0 for pt in branch.points if pt.semi_stable)
 
 
 def test_march_stops_one_sample_past_the_fold():

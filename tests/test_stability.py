@@ -266,8 +266,8 @@ def test_certified_shift_through_the_fold(fam, N, m_max, monkeypatch):
 
 
 def test_certificate_cost_along_the_mu1_column(monkeypatch):
-    # the two sweep cells at n = 512 whose columns cost the most, chained as
-    # the CLI computes them: the start vector's residual places the first
+    # the two sweep cells at n = 512 whose columns cost the most, chained
+    # along the branch: the start vector's residual places the first
     # trial and one inverse step the second, so most values take two
     # factorizations.  Stepping and bisecting down from the start vector's
     # quotient took 96 and 180 trials here, and 25 and 29 at the unchained
