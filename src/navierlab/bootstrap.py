@@ -24,7 +24,7 @@ exact arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .families import NonlinearityFamily
 
@@ -70,27 +70,23 @@ class RecursionDomainError(ValueError):
     """Recursion evaluated outside its admissible parameter range."""
 
 
-@dataclass(frozen=True)
 class ExponentParams:
     """Inputs of the primal recursion: dimension N, start q0, pair beta < alpha,
     each exponent finite."""
 
-    N: int
-    q0: float
-    alpha: float
-    beta: float
+    __slots__ = ("N", "q0", "alpha", "beta")
 
-    def __post_init__(self):
-        if self.N < 2:
+    def __init__(self, N: int, q0: float, alpha: float, beta: float):
+        if N < 2:
             raise RecursionDomainError("dimension N must be >= 2")
-        if not 1.0 <= self.q0 < float("inf"):
+        if not 1.0 <= q0 < float("inf"):
             raise RecursionDomainError("starting exponent q0 must be finite and >= 1")
-        if not 0.0 < self.beta < self.alpha < float("inf"):
+        if not 0.0 < beta < alpha < float("inf"):
             raise RecursionDomainError("need 0 < beta < alpha < inf")
+        self.N, self.q0, self.alpha, self.beta = N, q0, alpha, beta
 
 
-@dataclass
-class BootstrapTrace:
+class BootstrapTrace(NamedTuple):
     """Iterates of the primal recursion plus their classification."""
 
     sequence: list[float]
@@ -152,8 +148,7 @@ def run_bootstrap(params: ExponentParams, max_steps: int = 100_000) -> Bootstrap
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegularityVerdict:
+class RegularityVerdict(NamedTuple):
     family: str  # canonical family spec string
     N: int
     verdict: str  # REGULAR or UNKNOWN

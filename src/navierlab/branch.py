@@ -29,8 +29,6 @@ later turns rise higher.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ._lapack import dgbsv
@@ -63,7 +61,6 @@ MEMS_M_MAX = 1.0 - 1e-4
 MAX_NEWTON_TOL = 1e-6
 
 
-@dataclass(frozen=True)
 class SolverConfig:
     """The two solver settings a run chooses.
 
@@ -75,43 +72,42 @@ class SolverConfig:
     ``continue_branch`` sizes the later ones from newton_tol.
     """
 
-    newton_tol: float = 1e-10
-    amplitude_step: float = 0.05
+    __slots__ = ("newton_tol", "amplitude_step")
 
-    def __post_init__(self):
-        if not 0.0 < self.newton_tol <= MAX_NEWTON_TOL:
+    def __init__(self, newton_tol: float = 1e-10, amplitude_step: float = 0.05):
+        if not 0.0 < newton_tol <= MAX_NEWTON_TOL:
             raise ValueError(f"newton_tol must lie in (0, {MAX_NEWTON_TOL:g}]")
-        if not 0.0 < self.amplitude_step < np.inf:
+        if not 0.0 < amplitude_step < np.inf:
             raise ValueError("amplitude_step must be positive and finite")
+        self.newton_tol, self.amplitude_step = newton_tol, amplitude_step
 
 
-@dataclass
 class BranchPoint:
     """One solution at amplitude m, with v = K u = -Delta_h u, its tangent
     (du_dm, dlam_dm), the certified smallest eigenvalue of B = K^2 - lambda
     f'(u) (``stability``, None at the trivial point) and whether B is
     semi-stable there."""
 
-    m: float
-    lam: float
-    u: np.ndarray
-    v: np.ndarray
-    residual_norm: float
-    newton_iters: int
-    grid: RadialGrid = field(repr=False)
-    dlam_dm: float = np.nan
-    du_dm: np.ndarray | None = field(default=None, repr=False)
-    semi_stable: bool = True
-    stability: StabilityReport | None = field(default=None, repr=False)
+    __slots__ = ("m", "lam", "u", "v", "residual_norm", "newton_iters", "grid", "dlam_dm",
+                 "du_dm", "semi_stable", "stability")
+
+    def __init__(self, m: float, lam: float, u: np.ndarray, v: np.ndarray, residual_norm: float,
+                 newton_iters: int, grid: RadialGrid, dlam_dm: float = np.nan,
+                 du_dm: np.ndarray | None = None, semi_stable: bool = True,
+                 stability: StabilityReport | None = None):
+        self.m, self.lam, self.u, self.v, self.residual_norm = m, lam, u, v, residual_norm
+        self.newton_iters, self.grid, self.dlam_dm, self.du_dm = newton_iters, grid, dlam_dm, du_dm
+        self.semi_stable, self.stability = semi_stable, stability
 
 
-@dataclass
 class Branch:
     """Ordered solution points by increasing amplitude; the fold and the
     extremal-parameter estimate are derived from them."""
 
-    points: list[BranchPoint]
-    grid: RadialGrid = field(repr=False)
+    __slots__ = ("points", "grid")
+
+    def __init__(self, points: list[BranchPoint], grid: RadialGrid):
+        self.points, self.grid = points, grid
 
     @property
     def fold_index(self) -> int:

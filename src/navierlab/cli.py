@@ -30,9 +30,8 @@ import os
 import pickle
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -143,8 +142,7 @@ def _write_atomic(path: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """One run's settings, as every summary's ``config`` dict records them.
     A field the command takes no option for keeps its default."""
 
@@ -234,8 +232,7 @@ def _parse_dims(spec: str, n: int) -> list[int]:
     return sorted(set(dims))
 
 
-@dataclass(frozen=True)
-class _Cell:
+class _Cell(NamedTuple):
     """One validated (family, N) job: its canonical config and typed inputs."""
 
     cfg: RunConfig
@@ -265,7 +262,7 @@ def _validate(cfg: RunConfig) -> _Cell:
     m_max = min(cfg.m_max, MEMS_M_MAX) if family.singular else cfg.m_max
     if cfg.jobs < 1:
         raise ValueError("jobs must be >= 1")
-    return _Cell(replace(cfg, family=family.spec), family, grid, solver, m_max)
+    return _Cell(cfg._replace(family=family.spec), family, grid, solver, m_max)
 
 
 def _family_tag(spec: str) -> str:
@@ -350,7 +347,7 @@ def _run_cell(cell: _Cell, command: str) -> dict:
         summary = record["summary"] = {
             "family": cfg.family, "N": cfg.N, "n": cfg.n, "m_max_effective": cell.m_max,
             "lambda_star_estimate": branch.lambda_star_estimate,
-            "fold_detected": branch.fold_detected, "config": asdict(cfg)}
+            "fold_detected": branch.fold_detected, "config": cfg._asdict()}
         if command == "verify":
             rows = ((rep.name, rep.m, rep.lam, rep.lhs, rep.rhs, rep.margin, rep.satisfied)
                     for rep in reports)
@@ -465,7 +462,7 @@ def cmd_predict(args) -> int:
     from .bootstrap import predict_regularity
 
     verdict = predict_regularity(parse_family(args.family), args.N)
-    _print_record(asdict(verdict), args.out)
+    _print_record(verdict._asdict(), args.out)
     return EXIT_OK
 
 
@@ -480,7 +477,7 @@ def cmd_bootstrap(args) -> int:
         "alpha": args.alpha,
         "beta": args.beta,
         # fixed_point and escape_steps are omitted when unset
-        "trace": {k: v for k, v in asdict(trace).items() if v is not None},
+        "trace": {k: v for k, v in trace._asdict().items() if v is not None},
     }
     _print_record(record, args.out)
     return EXIT_INCONCLUSIVE if trace.classification == bs.INCONCLUSIVE else EXIT_OK
@@ -495,14 +492,14 @@ def cmd_run(args) -> int:
     sorted by family and N, whichever worker ran a cell and when.
     """
     options = vars(args)  # the options given, as flags or in the config file
-    cfg = RunConfig(**{f.name: options[f.name] for f in fields(RunConfig) if f.name in options})
+    cfg = RunConfig(**{f: options[f] for f in RunConfig._fields if f in options})
     configs = [cfg]
     if args.command == "sweep":
         fams = [f.strip() for f in options.get("families", "").split(",") if f.strip()]
         if not fams or "dims" not in options:
             raise ValueError("sweep needs --families and --dims")
         dims = _parse_dims(options["dims"], cfg.n)
-        configs = [replace(cfg, family=f, N=N) for f in fams for N in dims]
+        configs = [cfg._replace(family=f, N=N) for f in fams for N in dims]
     cells = [_validate(c) for c in configs]
     os.makedirs(cfg.out, exist_ok=True)  # an unusable --out fails before any compute
     if args.command != "sweep":
@@ -513,7 +510,7 @@ def cmd_run(args) -> int:
         return EXIT_OK
     # a family spelled twice runs once; each cell runs alone in its worker
     unique = {(c.cfg.family, c.cfg.N): c for c in cells}
-    cells = [replace(c, cfg=replace(c.cfg, jobs=1))
+    cells = [c._replace(cfg=c.cfg._replace(jobs=1))
              for c in sorted(unique.values(), key=lambda c: -c.cfg.N)]
     run = partial(_run_cell, command="sweep")
     # every cell runs both; loaded here, the forked workers inherit them

@@ -25,7 +25,6 @@ their boundary values explicitly (u vanishes there, f(0) = 1 does not).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,16 +68,13 @@ FPRIME = "fprime-power"
 TOL_FACTOR = 1e-6
 
 
-@dataclass
 class EstimateReport:
     """Both sides of one inequality lhs <= rhs at one branch point."""
 
-    name: str
-    lhs: float
-    rhs: float
-    tol: float
-    m: float
-    lam: float
+    __slots__ = ("name", "lhs", "rhs", "tol", "m", "lam")
+
+    def __init__(self, name: str, lhs: float, rhs: float, tol: float, m: float, lam: float):
+        self.name, self.lhs, self.rhs, self.tol, self.m, self.lam = name, lhs, rhs, tol, m, lam
 
     @property
     def margin(self) -> float:
@@ -89,12 +85,13 @@ class EstimateReport:
         return self.margin >= -self.tol
 
 
-@dataclass
 class BranchSupremum:
     """One integral tracked along the semi-stable segment of a branch."""
 
-    name: str
-    values: list[float]
+    __slots__ = ("name", "values")
+
+    def __init__(self, name: str, values: list[float]):
+        self.name, self.values = name, values
 
     @property
     def sup(self) -> float:

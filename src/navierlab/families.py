@@ -28,7 +28,6 @@ All functions here are pure and accept scalars or numpy arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,31 +52,43 @@ class FamilyDomainError(ValueError):
 _KINDS = ("exp", "power", "mems")
 
 
-@dataclass(frozen=True)
 class NonlinearityFamily:
     """One nonlinearity with closed-form f, f', f'' and auxiliaries.
 
     ``kind`` is one of ``exp``, ``power``, ``mems``; ``p`` is the exponent
     for the latter two (1 < p < inf for power, 0 < p < inf for mems).  For
     mems the admissible argument range is t < 1; evaluation never clamps,
-    callers must respect the touchdown bound themselves.
+    callers must respect the touchdown bound themselves.  A family is an
+    immutable value: equal, hashed and pickled by (kind, p).
     """
 
-    kind: str
-    p: float | None = None
+    __slots__ = ("kind", "p")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise FamilyDomainError(f"unknown family kind {self.kind!r}")
-        if self.kind == "exp":
-            if self.p is not None:
-                raise FamilyDomainError("exp family takes no exponent")
-        elif self.kind == "power":
-            if self.p is None or not 1.0 < self.p < math.inf:
-                raise FamilyDomainError("power family requires 1 < p < inf")
-        else:
-            if self.p is None or not 0.0 < self.p < math.inf:
-                raise FamilyDomainError("mems family requires 0 < p < inf")
+    def __init__(self, kind: str, p: float | None = None):
+        if kind not in _KINDS:
+            raise FamilyDomainError(f"unknown family kind {kind!r}")
+        if kind == "exp" and p is not None:
+            raise FamilyDomainError("exp family takes no exponent")
+        if kind == "power" and (p is None or not 1.0 < p < math.inf):
+            raise FamilyDomainError("power family requires 1 < p < inf")
+        if kind == "mems" and (p is None or not 0.0 < p < math.inf):
+            raise FamilyDomainError("mems family requires 0 < p < inf")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "p", p)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and (self.kind, self.p) == (other.kind, other.p)
+
+    def __hash__(self):
+        return hash((self.kind, self.p))
+
+    def __reduce__(self):
+        return NonlinearityFamily, (self.kind, self.p)
 
     # -- identification ----------------------------------------------------
 

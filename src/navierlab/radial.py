@@ -32,7 +32,6 @@ and shared, read-only, with every later caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -52,35 +51,46 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class RadialGrid:
     """Uniform radial mesh on [0, 1] in the unit ball of R^dim_N.
 
     ``n`` counts interior nodes; the active node set adds the center.  ``r``
-    holds the active radii 0, h, ..., 1 - h in increasing order.
+    holds the active radii 0, h, ..., 1 - h in increasing order.  A grid is
+    an immutable value: equal, hashed and pickled by (dim_N, n).
     """
 
-    dim_N: int
-    n: int
-    h: float = field(init=False)
-    r: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ("dim_N", "n", "h", "r")
 
-    def __post_init__(self):
-        if self.dim_N < 2:
+    def __init__(self, dim_N: int, n: int):
+        if dim_N < 2:
             raise ValueError("dimension must be >= 2")
-        if self.n < 4:
+        if n < 4:
             raise ValueError("need at least 4 interior nodes")
-        h = 1.0 / (self.n + 1)
+        h = 1.0 / (n + 1)
         # the center cell's volume weight (see volume_weights) must not
         # underflow to 0: the stability solve divides by its square root.
         # With h/2 <= 0.1, (h/2)^N is 0 by N = 344, where Gamma(N/2) starts to
         # overflow, so unit_sphere_area is only reached below that.
-        w0 = (h / 2.0) ** self.dim_N / self.dim_N
-        if w0 == 0.0 or unit_sphere_area(self.dim_N) * w0 == 0.0:
-            raise ValueError(f"dimension {self.dim_N} is too large for {self.n} interior "
+        w0 = (h / 2.0) ** dim_N / dim_N
+        if w0 == 0.0 or unit_sphere_area(dim_N) * w0 == 0.0:
+            raise ValueError(f"dimension {dim_N} is too large for {n} interior "
                              "nodes: the center cell's volume weight underflows to 0")
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "r", np.arange(0, self.n + 1) * h)
+        for name, value in (("dim_N", dim_N), ("n", n), ("h", h), ("r", np.arange(0, n + 1) * h)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and (self.dim_N, self.n) == (other.dim_N, other.n)
+
+    def __hash__(self):
+        return hash((self.dim_N, self.n))
+
+    def __reduce__(self):
+        return RadialGrid, (self.dim_N, self.n)
 
     @property
     def size(self) -> int:
@@ -91,19 +101,13 @@ class RadialGrid:
         return {"N": self.dim_N, "n": self.n, "r_inner": 0.0, "r_outer": 1.0}
 
 
-@dataclass
 class BandedOperator:
     """Tridiagonal operator on the active nodes of the ball, given by its
     ``sub``, ``diag`` and ``sup`` diagonals; the eliminated boundary node at
     r = 1 carries homogeneous Dirichlet data."""
 
-    sub: np.ndarray
-    diag: np.ndarray
-    sup: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.diag)
+    def __init__(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray):
+        self.sub, self.diag, self.sup = sub, diag, sup
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Matrix-vector product."""

@@ -47,7 +47,6 @@ with the certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -73,11 +72,11 @@ _EPS_MARGIN = 2.0 * np.finfo(float).eps  # rounding margin of factoring T, per |
 _REL_MARGIN = 1e-6  # the certificate's margin, per 1 + |quotient|
 
 
-@dataclass
 class StabilityReport:
-    mu1: float
-    eigenfunction: np.ndarray
-    iterations: int
+    __slots__ = ("mu1", "eigenfunction", "iterations")
+
+    def __init__(self, mu1: float, eigenfunction: np.ndarray, iterations: int):
+        self.mu1, self.eigenfunction, self.iterations = mu1, eigenfunction, iterations
 
 
 def _start_vector(grid: RadialGrid) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Branch solver: manufactured oracle, small-amplitude law, folds, guards."""
 
-import dataclasses
+import pickle
 import warnings
 
 import numpy as np
@@ -373,8 +373,30 @@ def test_warm_start_grid_mismatch():
     with pytest.raises(ValueError):
         solve_at_amplitude(exponential(), g2, 0.1, guess=pt)
     # every solve starts from a tangent step, so a guess needs its tangent
+    untangent = BranchPoint(pt.m, pt.lam, pt.u, pt.v, pt.residual_norm, pt.newton_iters, g1,
+                            pt.dlam_dm, None, pt.semi_stable, pt.stability)
     with pytest.raises(ValueError):
-        solve_at_amplitude(exponential(), g1, 0.2, guess=dataclasses.replace(pt, du_dm=None))
+        solve_at_amplitude(exponential(), g1, 0.2, guess=untangent)
+
+
+def test_records_survive_pickle():
+    # a failed continuation's error carries its partial Branch, and an error
+    # raised in a forked sweep worker reaches the parent pickled
+    fam, grid = exponential(), RadialGrid(3, 64)
+    assert pickle.loads(pickle.dumps(fam)) == fam and pickle.loads(pickle.dumps(grid)) == grid
+    branch = continue_branch(fam, grid, 0.5)
+    error = pickle.loads(pickle.dumps(ContinuationError("stopped", partial=branch)))
+    assert str(error) == "stopped" and error.partial.grid == grid
+    assert len(error.partial.points) == len(branch.points) > 1
+    for copied, pt in zip(error.partial.points, branch.points):
+        for name in ("m", "lam", "residual_norm", "newton_iters", "dlam_dm", "semi_stable"):
+            assert getattr(copied, name) == getattr(pt, name)
+        for name in ("u", "v", "du_dm"):
+            assert np.array_equal(getattr(copied, name), getattr(pt, name))
+        assert copied.grid == grid
+        assert copied.stability.mu1 == pt.stability.mu1
+        assert copied.stability.iterations == pt.stability.iterations
+        assert np.array_equal(copied.stability.eigenfunction, pt.stability.eigenfunction)
 
 
 def test_newton_diverged_raises(monkeypatch):

@@ -112,7 +112,13 @@ def test_domain_errors():
     st.builds(mems, st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
 ))
 def test_spec_round_trips(fam):
-    assert parse_family(fam.spec) == fam
+    assert parse_family(fam.spec) == fam and hash(parse_family(fam.spec)) == hash(fam)
+    # a family is an immutable value
+    for name in ("kind", "p"):
+        with pytest.raises(AttributeError):
+            setattr(fam, name, 2.0)
+        with pytest.raises(AttributeError):
+            delattr(fam, name)
 
 
 def test_parse_family_round_trip():
@@ -330,10 +336,12 @@ def test_predict_and_bootstrap_load_no_lapack(argv):
 
 def test_import_leaves_scipy_integrate_unloaded():
     # nor any scipy package, not even scipy itself: a compute module loads
-    # only its compiled LAPACK module; and no process pool
-    code = ("import sys, navierlab, navierlab.cli, navierlab.branch; "
+    # only its compiled LAPACK module; and no process pool.  The records are
+    # plain classes, so no module loads dataclasses (or its copy)
+    code = ("import sys, navierlab, navierlab.cli, navierlab.branch, navierlab.estimates, "
+            "navierlab.bootstrap; "
             "print(sorted(m for m in sys.modules if m.startswith(('scipy', "
-            "'concurrent.futures.process', 'multiprocessing'))))")
+            "'concurrent.futures.process', 'multiprocessing')) or m in ('dataclasses', 'copy')))")
     result = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                             text=True, check=True, timeout=120)
     assert result.stdout.strip() == "['scipy.linalg._flapack']"

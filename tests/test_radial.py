@@ -48,6 +48,13 @@ def test_grid_geometry():
     # a grid's identity is its (N, n)
     assert g == RadialGrid(3, 100) and hash(g) == hash(RadialGrid(3, 100))
     assert g != RadialGrid(4, 100) and g != RadialGrid(3, 101)
+    # and it cannot change: minus_laplacian caches its operator by grid
+    for name in ("dim_N", "n", "h", "r"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 4)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert (g.dim_N, g.n) == (3, 100)
 
 
 def test_grid_validation():
