@@ -50,6 +50,11 @@ __all__ = [
 
 MAX_NEWTON = 50  # Newton steps per point
 DAMPING = 0.5  # line-search step reduction
+DECREASE = 1e-4  # a line-search step t must lower the residual by DECREASE * t, relative
+# steps in a row whose residual falls by less than DECREASE before Newton
+# gives up: twice the longest such run, 3, of any converging solve on the
+# reference cells, the first-step scan and the 36-cell n = 512 sweep
+STALL_STEPS = 6
 STEP_GROWTH = 2.0  # largest continuation step growth
 MIN_STEP_FACTOR = 1.0 / 1024.0  # smallest one before continuation gives up
 MAX_POINTS = 10_000  # the most points a march solves before it gives up
@@ -184,7 +189,9 @@ def _newton(K, family, grid, m, u, lam, config, previous) -> BranchPoint:
     carries v = K u.  Each step factors B (``K.square_bands`` with the
     diagonal shifted) once for both columns of the bordered solve; a solve
     that is not finite, or whose border pivot z[0] vanishes, fails the
-    step.  The accepted line-search trial's residual starts the next step.
+    step.  The accepted line-search trial's residual starts the next step;
+    STALL_STEPS steps in a row that lower it by less than DECREASE relative
+    end the solve.
     The m-derivative of the system, B du/dm = f(u) dlambda/dm with
     du/dm[0] = 1, makes the last solve's B z = -f(u) the branch tangent,
     stored on the point: du/dm = z / z[0], dlambda/dm = -1 / z[0].  So is
@@ -199,7 +206,7 @@ def _newton(K, family, grid, m, u, lam, config, previous) -> BranchPoint:
     res = _residual(K, D, family, u, lam, m)
     if not np.isfinite(res[3]):
         raise NewtonDivergedError(f"no finite residual at the start at m={m:g}")
-    update_rel = None
+    update_rel, stalled = None, 0
     # bandwidth (2, 2) in the gbsv layout (row 4 + i - j holds entry (i, j);
     # rows 0-1 take the factorization's fill-in, which dgbsv sets itself),
     # Fortran-ordered so dgbsv factors it, and solves the right-hand sides,
@@ -216,6 +223,9 @@ def _newton(K, family, grid, m, u, lam, config, previous) -> BranchPoint:
             return pt
         if it == MAX_NEWTON:
             break
+        if stalled == STALL_STEPS:
+            raise NewtonDivergedError(f"residual stalled at {rn:.3e} after {it} iterations "
+                                      f"at m={m:g}")
         ab[2:] = K.square_bands
         ab[4] -= lam * family.fp(u)
         np.negative(R, out=rhs[:, 0])
@@ -238,13 +248,14 @@ def _newton(K, family, grid, m, u, lam, config, previous) -> BranchPoint:
             un = u + t * du
             ln = lam + t * dlam
             res = _residual(K, D, family, un, ln, m)
-            if res[3] < rn * (1.0 - 1e-4 * t) or res[3] <= config.newton_tol:
+            if res[3] < rn * (1.0 - DECREASE * t) or res[3] <= config.newton_tol:
                 break
             t *= DAMPING
         update_rel = t * max(
             float(np.abs(du).max()) / max(1.0, float(np.abs(u).max())),
             abs(dlam) / max(1.0, abs(lam)),
         )
+        stalled = stalled + 1 if res[3] >= rn * (1.0 - DECREASE) else 0
         u, lam = un, ln
     raise NewtonDivergedError(f"no convergence in {MAX_NEWTON} iterations at m={m:g}")
 

@@ -31,7 +31,7 @@ import pickle
 import sys
 import tempfile
 from functools import partial
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -83,6 +83,16 @@ def _status(exc: BaseException) -> str:
     if isinstance(exc, _COMPUTE_ERRORS):
         return "compute-failure"
     return "error"  # bad input or an unusable output path
+
+
+def _leave(code: int, *streams) -> NoReturn:
+    """Flush ``streams`` and end the process with ``code`` at once: no atexit
+    handler, finalizer or interpreter teardown runs."""
+    try:
+        for stream in streams:
+            stream.flush()
+    finally:
+        os._exit(code)
 
 
 def _fail(status: str, message: str) -> int:
@@ -384,11 +394,12 @@ def _fork_map(run, items: list, workers: int) -> list:
     8-byte value, the index of the next unclaimed item: it reads the value
     and writes back the next one, so a slow item holds up only the process
     running it.  A child pickles its ``(index, result)`` pairs, or the
-    exception it raised, to its own pipe and leaves with ``os._exit``, so it
-    never flushes the stdout it inherited nor runs atexit handlers.  Every
-    child is reaped, also when this process's own share raised; then the
-    first exception seen is raised.  A child that ends without a result
-    raises ``ChildProcessError`` naming its exit status.  Forking is safe
+    exception it raised, to its own pipe and leaves with ``_leave``, which
+    it gives no stream, so it never flushes the stdout it inherited nor runs
+    atexit handlers.  Every child is reaped, also when this process's own
+    share raised; then the first exception seen is raised.  A child that
+    ends without a result raises ``ChildProcessError`` naming its exit
+    status.  Forking is safe
     because the process has one thread: ``navierlab`` keeps OpenBLAS from
     starting its pool.
     """
@@ -420,7 +431,7 @@ def _fork_map(run, items: list, workers: int) -> list:
                         pickle.dump(payload, pipe)
                     code = 0
                 finally:
-                    os._exit(code)
+                    _leave(code)
             os.close(result_w)
             children.append((pid, result_r))
         shares.append(share())
@@ -579,9 +590,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _silence_stdout() -> None:
     """Point fd 1 at ``os.devnull`` if stdout cannot be flushed, so that the
-    flush at exit, which would meet the same full or closed output, writes
-    its text there without a word (the recipe of Python's "Note on
-    SIGPIPE")."""
+    last flush, which would meet the same full or closed output, writes its
+    text there without a word (the recipe of Python's "Note on SIGPIPE")."""
     try:
         sys.stdout.flush()
     except OSError:
@@ -597,10 +607,15 @@ def main(argv=None) -> int:
     navierlab.cli``): it reads ``sys.argv`` and first freezes the garbage
     collector's heap, so that the modules loaded so far, numpy's among them,
     are never traversed again: not by the collections of the run, nor in a
-    forked sweep worker, nor at interpreter exit.  Called with a list, as
-    from the library or the tests, ``main`` leaves ``gc`` alone.  Standard
-    output is flushed before ``main`` returns, so a full or closed one ends
-    with exit 2 and one ``error:`` line.
+    forked sweep worker.  Once the command has ended it flushes stdout and
+    stderr and leaves the process with ``os._exit`` and the exit code, so
+    no run pays about 6 ms for the interpreter's teardown and no atexit
+    handler runs.  It returns instead under a tracer or profiler
+    (``sys.gettrace()`` or ``sys.getprofile()`` set), so that coverage and
+    ``python -m cProfile -o`` still write their reports.  Called with a
+    list, as from the library or the tests, ``main`` leaves ``gc`` alone
+    and returns.  Standard output is flushed before the command ends, so a
+    full or closed one ends with exit 2 and one ``error:`` line.
     """
     if argv is None:
         gc.freeze()
@@ -615,11 +630,13 @@ def main(argv=None) -> int:
         except SystemExit:  # the parser exits only after printing --help
             code = EXIT_OK
         sys.stdout.flush()  # a full or closed stdout fails here, not at exit
-        return code
     except _FAILURE_TYPES as exc:
         if isinstance(exc, OSError):  # perhaps stdout's own
             _silence_stdout()
-        return _fail(_status(exc), str(exc))
+        code = _fail(_status(exc), str(exc))
+    if argv is None and sys.gettrace() is None and sys.getprofile() is None:
+        _leave(code, sys.stdout, sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

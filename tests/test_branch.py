@@ -631,6 +631,33 @@ def test_march_factorization_budget(spec, N, most, monkeypatch):
     assert len(calls) <= most
 
 
+def test_newton_gives_up_on_a_stalled_residual(monkeypatch):
+    # mems:p=2 N=14 at n = 512: the march's solve at the clamp levels off at a
+    # residual of 2.1e-4 and ran all MAX_NEWTON steps, 154 factorizations for
+    # the cell; no converging solve lowers its residual by less than 1e-4
+    # relative in more than 3 steps in a row
+    failures, calls = [], []
+    newton, gbsv = branch_module._newton, branch_module.dgbsv
+
+    def recording_newton(*args):
+        try:
+            return newton(*args)
+        except NewtonDivergedError as exc:
+            failures.append(str(exc))
+            raise
+
+    def counting_gbsv(*args, **kwargs):
+        calls.append(None)
+        return gbsv(*args, **kwargs)
+
+    monkeypatch.setattr(branch_module, "_newton", recording_newton)
+    monkeypatch.setattr(branch_module, "dgbsv", counting_gbsv)
+    continue_branch(mems(2.0), RadialGrid(14, 512), MEMS_M_MAX)
+    assert len(failures) == 1 and failures[0].startswith("residual stalled at 2.0")
+    assert failures[0].endswith(f"iterations at m={MEMS_M_MAX:g}")
+    assert len(calls) <= 133
+
+
 def test_fold_solves_start_from_the_euler_step(monkeypatch):
     # the fold pair of mems:p=2 N=9 at n = 512 lies next to touchdown, where
     # the cubic Hermite through both ends of the pair started 37 solves that

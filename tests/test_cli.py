@@ -8,6 +8,7 @@ import gc
 import json
 import math
 import os
+import pstats
 import signal
 import stat
 import subprocess
@@ -146,12 +147,90 @@ PROGRAM = [sys.executable, "-c", "import sys; from navierlab.cli import main; sy
 
 
 def test_program_path_freezes_the_loaded_heap():
-    code = ("import gc, sys; from navierlab.cli import main; code = main(); "
-            "print(code, gc.get_freeze_count() > 0)")
+    # main() does not return on the program path, so os._exit reports
+    code = ("import gc, os; from navierlab.cli import main; leave = os._exit; "
+            "os._exit = lambda code: (print(code, gc.get_freeze_count() > 0, flush=True), "
+            "leave(code)); main()")
     result = subprocess.run([sys.executable, "-c", code, "predict", "--family", "exp", "--N", "8"],
                             env=src_env(), capture_output=True, text=True, check=True,
                             timeout=120)
     assert result.stdout.splitlines()[-1] == "0 True"
+
+
+# how a process ends: the program path alone skips the teardown and so its
+# atexit handlers; a tracer, a profiler or an argument list makes main return
+ENDINGS = {
+    "program": ("pass", "main()", False),
+    "tracer": ("sys.settrace(lambda *event: None)", "main()", True),
+    "profiler": ("sys.setprofile(lambda *event: None)", "main()", True),
+    "library": ("pass", "main(sys.argv[1:])", True),
+}
+
+
+@pytest.mark.parametrize("ending", sorted(ENDINGS))
+def test_only_the_program_path_skips_atexit(ending):
+    prelude, call, runs = ENDINGS[ending]
+    code = ("import atexit, sys; from navierlab.cli import main; "
+            f"atexit.register(print, 'atexit ran'); {prelude}; sys.exit({call})")
+    result = subprocess.run([sys.executable, "-c", code, "predict", "--family", "exp", "--N", "8"],
+                            env=src_env(), capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert json.loads(result.stdout.removesuffix("atexit ran\n"))["verdict"] == "regular"
+    assert result.stdout.endswith("atexit ran\n") == runs
+
+
+RISING = ["branch", "--family", "exp", "--N", "3", "--n", "64", "--m-max", "0.4",
+          "--amplitude-step", "0.1", "--out", "run"]
+# a command line for each exit code, and the start of its one stderr line
+EXITS = {
+    0: (["predict", "--family", "exp", "--N", "8"], None),
+    2: (["predict", "--family", "quintic", "--N", "3"], "error:"),
+    3: (RISING, "inconclusive:"),
+    4: ([*RISING, "--tol", "1e-30"], "compute failure:"),
+}
+
+
+@pytest.mark.parametrize("code", sorted(EXITS))
+def test_program_exit_follows_the_failure_table(code, tmp_path, monkeypatch, capsys):
+    argv, prefix = EXITS[code]
+    for side in ("program", "library"):
+        (tmp_path / side).mkdir()
+    program = subprocess.run([*PROGRAM, *argv], cwd=tmp_path / "program", env=src_env(),
+                             capture_output=True, text=True, timeout=120)
+    monkeypatch.chdir(tmp_path / "library")
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (program.returncode, program.stdout, program.stderr) == (code, captured.out,
+                                                                    captured.err)
+    lines = program.stderr.splitlines()
+    if prefix is None:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith(prefix)
+
+
+def test_program_stdout_arrives_whole_through_a_pipe(capsys):
+    # about 290 kB, several times a pipe's buffer, block-buffered as by default
+    argv = ["bootstrap", "--N", "6", "--q", "1", "--alpha", "1.4", "--beta", "1.39999",
+            "--steps", "10000"]
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    program = subprocess.run([*PROGRAM, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env=env, text=True, timeout=120)
+    code = main(argv)
+    assert (program.returncode, program.stdout, program.stderr) == (code, capsys.readouterr().out,
+                                                                    "")
+    assert len(program.stdout) > 1 << 18 and json.loads(program.stdout)["N"] == 6
+
+
+def test_program_under_cprofile_writes_its_report(tmp_path):
+    report = tmp_path / "predict.prof"
+    result = subprocess.run([sys.executable, "-m", "cProfile", "-o", str(report), "-m",
+                             "navierlab.cli", "predict", "--family", "exp", "--N", "8"],
+                            env=src_env(), capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert json.loads(result.stdout)["verdict"] == "regular"
+    assert pstats.Stats(str(report)).total_calls > 0
 
 
 def test_library_call_leaves_the_collector_alone(capsys):
